@@ -200,9 +200,7 @@ def quick_comparison(
     from repro.policies import ALL_POLICIES
     from repro.workload import make_one_hour_trace
 
-    trace = make_one_hour_trace(service, rate_scale=rate_scale)
-    if duration_s < trace.duration:
-        trace = trace.slice(0.0, duration_s)
+    trace = make_one_hour_trace(service, rate_scale=rate_scale, duration_s=duration_s)
     summaries = run_policies(
         trace, policies or ALL_POLICIES, ExperimentConfig(), workers=workers
     )

@@ -67,6 +67,12 @@ class TraceSpec:
     form (no request level exists), so it can only be simulated with
     ``Scenario(backend="fluid")``; :meth:`build` raises and
     :meth:`build_bins` is the materialiser.
+
+    ``duration_s`` bounds synthesis, not only the returned trace: the
+    synthetic ``one_hour`` and ``week`` kinds stop drawing at the bin
+    that covers it.  The result is the same as clipping the full trace
+    to ``duration_s`` (same requests or bins, same name); only the work
+    past the window is skipped.
     """
 
     kind: str = "one_hour"
@@ -100,12 +106,12 @@ class TraceSpec:
         if self.kind == "one_hour":
             from repro.workload.synthetic import make_one_hour_trace
 
-            trace = make_one_hour_trace(
-                self.service, seed=self.seed, rate_scale=self.rate_scale
+            return make_one_hour_trace(
+                self.service,
+                seed=self.seed,
+                rate_scale=self.rate_scale,
+                duration_s=self.duration_s,
             )
-            if self.duration_s is not None and self.duration_s < trace.duration:
-                trace = trace.slice(0.0, self.duration_s)
-            return trace
         if self.kind == "csv":
             from repro.workload.loaders import load_request_csv, resample_trace
 
@@ -144,15 +150,13 @@ class TraceSpec:
         if self.kind == "week":
             from repro.workload.synthetic import make_week_trace
 
-            bins = make_week_trace(
+            return make_week_trace(
                 self.service,
                 seed=self.seed,
                 rate_scale=self.rate_scale,
                 bin_seconds=bin_seconds,
+                duration_s=self.duration_s,
             )
-            if self.duration_s is not None:
-                bins = _clip_bins(bins, self.duration_s)
-            return bins
         return bin_trace(self.build(), bin_seconds)
 
     @property
@@ -181,54 +185,6 @@ class TraceSpec:
     def with_(self, **changes) -> "TraceSpec":
         """A copy of this spec with the given fields replaced."""
         return dataclasses.replace(self, **changes)
-
-
-def _clip_bins(bins, duration_s: float):
-    """Clip a binned trace to ``duration_s``, like request-level clipping.
-
-    A bin straddling the cut is truncated: its duration becomes the
-    remaining window and its aggregates scale by the kept fraction, so
-    the offered *rate* is unchanged while the simulated horizon (and
-    hence energy) honours the requested duration exactly.  The per-type
-    maps are scaled first and the totals derived from them (splitting
-    tokens by the bin's original prompt share), so the truncated bin
-    stays internally consistent — independent rounding could otherwise
-    zero a type map while the totals still report load.
-    """
-    clipped = []
-    for b in bins:
-        if b.start_time >= duration_s:
-            break
-        if b.start_time + b.duration <= duration_s:
-            clipped.append(b)
-            continue
-        fraction = (duration_s - b.start_time) / b.duration
-        tokens_by_type = {
-            k: int(round(v * fraction)) for k, v in b.tokens_by_type.items()
-        }
-        tokens_by_type = {k: v for k, v in tokens_by_type.items() if v > 0}
-        count_by_type = {
-            k: max(1, int(round(v * fraction)))
-            for k, v in b.count_by_type.items()
-            if k in tokens_by_type
-        }
-        total_tokens = sum(tokens_by_type.values())
-        prompt_share = (
-            b.input_tokens / b.total_tokens if b.total_tokens > 0 else 0.0
-        )
-        input_tokens = int(round(total_tokens * prompt_share))
-        clipped.append(
-            TraceBin(
-                start_time=b.start_time,
-                duration=duration_s - b.start_time,
-                request_count=sum(count_by_type.values()),
-                input_tokens=input_tokens,
-                output_tokens=total_tokens - input_tokens,
-                count_by_type=count_by_type,
-                tokens_by_type=tokens_by_type,
-            )
-        )
-    return clipped
 
 
 # ----------------------------------------------------------------------

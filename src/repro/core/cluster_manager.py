@@ -95,12 +95,10 @@ class ClusterManager:
                 request.input_tokens, predicted.name, pool.governing_type
             )
         )
-        # Fragmentation spill: a configured fraction of the pool's load is
-        # redirected to the next larger pool (Section IV-B).
-        if pool.spill_fraction > 0.0:
-            spill_hash = (request.request_id % 100) / 100.0
-            if spill_hash < pool.spill_fraction:
-                pool_name = self.scheme.next_larger_pool(pool_name)
+        # Fragmentation spill: a consolidated pool's load is redirected to
+        # the next larger pool (Section IV-B).
+        if pool.spilled:
+            pool_name = self.scheme.next_larger_pool(pool_name)
         # Overload spill.
         if overloaded and overloaded.get(pool_name):
             larger = self.scheme.next_larger_pool(pool_name)
@@ -198,7 +196,7 @@ class ClusterManager:
                 # Consolidate: this pool's trickle of load is not worth even
                 # the smallest instance; redirect it to the next larger
                 # (dominating) pool, converted into that pool's load units.
-                pool.spill_fraction = 1.0
+                pool.spilled = True
                 carry_by_pool[receiver] = carry_by_pool.get(receiver, 0.0) + (
                     pool.predicted_load_tps
                     * self.node_capacity(receiver)
@@ -209,7 +207,7 @@ class ClusterManager:
                 budgets[pool_name] = 0
                 continue
 
-            pool.spill_fraction = 0.0
+            pool.spilled = False
             if self.node_granularity:
                 capacity = self.node_capacity(pool_name)
                 nodes = (

@@ -23,7 +23,8 @@ class PoolState:
     governing_type: str
     server_budget: int = 0
     gpu_budget: int = 0
-    spill_fraction: float = 0.0
+    #: Consolidated into the next larger pool: its arrivals are redirected.
+    spilled: bool = False
     load_ema_tps: float = 0.0
     epoch_peak_tps: float = 0.0
     observed_tokens: float = 0.0

@@ -281,10 +281,13 @@ class FluidRunner:
         byte-for-byte identical (same arithmetic, same order).
         """
         runner, static_budgets = self._resolve(spec, bins, static_budgets, fine_budgets)
+        # Pools are summed in the scheme's order: a set's order follows the
+        # process's string-hash seed, and so would the float sums.
+        rank = {pool: index for index, pool in enumerate(runner.scheme.pool_names())}
         previous_gpus: Dict[str, int] = {}
         for trace_bin in bins:
             loads = runner._pool_loads(trace_bin)
-            pools = set(loads) | set(static_budgets)
+            pools = sorted(set(loads) | set(static_budgets), key=rank.__getitem__)
             bin_power = 0.0
             bin_gpus = 0
             pool_gpus: Dict[str, int] = {}

@@ -31,10 +31,7 @@ from repro.workload.traces import Trace
 
 
 def _default_trace(rate_scale: float = 15.0, duration_s: Optional[float] = 1800.0) -> Trace:
-    trace = make_one_hour_trace("conversation", rate_scale=rate_scale)
-    if duration_s is not None and duration_s < trace.duration:
-        trace = trace.slice(0.0, duration_s)
-    return trace
+    return make_one_hour_trace("conversation", rate_scale=rate_scale, duration_s=duration_s)
 
 
 def _summary_of(sink, scenario: Scenario) -> RunSummary:

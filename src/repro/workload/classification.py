@@ -19,6 +19,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.workload.request import Request
 
 
@@ -127,6 +129,16 @@ def classify_length(
         _bucket(input_tokens, input_thresholds),
         _bucket(output_tokens, output_thresholds),
     )
+
+
+def classify_lengths(input_tokens: np.ndarray, output_tokens: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`classify_length` on the default thresholds.
+
+    Returns each (input, output) pair's index into :data:`REQUEST_TYPES`.
+    """
+    i = np.searchsorted(DEFAULT_INPUT_THRESHOLDS[:2], input_tokens, side="right")
+    o = np.searchsorted(DEFAULT_OUTPUT_THRESHOLDS[:2], output_tokens, side="right")
+    return i * len(_CLASS_ORDER) + o
 
 
 def classify_request(request: Request) -> RequestType:

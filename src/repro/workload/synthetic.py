@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.sim.rng import RngStream
-from repro.workload.classification import classify_length
+from repro.workload.classification import REQUEST_TYPE_NAMES, classify_lengths
 from repro.workload.request import Request
-from repro.workload.traces import Trace, TraceBin
+from repro.workload.traces import Trace, TraceBin, clip_bins
 
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 24 * SECONDS_PER_HOUR
@@ -145,15 +147,14 @@ class SyntheticTraceGenerator:
     # ------------------------------------------------------------------
     # Length sampling
     # ------------------------------------------------------------------
-    def _sample_lengths(self, count: int, time_s: float) -> List[tuple]:
-        """Sample (input, output) token pairs.
+    def _sample_lengths(self, count: int, time_s: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Sample ``count`` (input, output) token counts as two integer columns.
 
         The length mix drifts slowly over the day so the request-type
         distribution changes over time (as in Figure 1): afternoons see
-        slightly longer interactions than early mornings.
+        slightly longer interactions than early mornings.  ``np.rint``
+        rounds half to even, like Python's ``round``.
         """
-        if count <= 0:
-            return []
         hour = (time_s % SECONDS_PER_DAY) / SECONDS_PER_HOUR
         drift = 1.0 + 0.25 * math.sin(2.0 * math.pi * (hour - 6.0) / 24.0)
         rng = self._rng.generator
@@ -167,12 +168,10 @@ class SyntheticTraceGenerator:
             sigma=self.profile.output_sigma,
             size=count,
         )
-        pairs = []
-        for raw_in, raw_out in zip(inputs, outputs):
-            n_in = int(min(self.profile.max_input_tokens, max(4, round(raw_in))))
-            n_out = int(min(self.profile.max_output_tokens, max(2, round(raw_out))))
-            pairs.append((n_in, n_out))
-        return pairs
+        return (
+            np.clip(np.rint(inputs), 4, self.profile.max_input_tokens).astype(np.int64),
+            np.clip(np.rint(outputs), 2, self.profile.max_output_tokens).astype(np.int64),
+        )
 
     def _bin_rate(self, start: float, bin_seconds: float) -> float:
         """Expected arrivals in a bin starting at ``start``."""
@@ -190,14 +189,27 @@ class SyntheticTraceGenerator:
         start_offset_s: float = 0.0,
         bin_seconds: float = 10.0,
         slo_scale: float = 1.0,
+        window_s: Optional[float] = None,
     ) -> Trace:
         """Generate a request-level trace covering ``duration_s`` seconds.
 
         ``start_offset_s`` positions the window inside the week (e.g. a
         Tuesday afternoon peak hour), which sets the load level and mix.
+
+        ``window_s`` keeps only the first ``window_s`` seconds, and
+        synthesis stops at the bin that covers them.  Bins draw from the
+        random stream one after another, so the result is the full
+        trace's ``slice(0, window_s)`` (named like it) when the full
+        trace has an arrival after ``window_s``, and the full trace
+        otherwise.  Deciding which takes only the arrival counts of the
+        bins up to the first non-empty one past the window.
         """
-        requests: List[Request] = []
         rng = self._rng.generator
+        # Per-bin columns; the empty seeds keep a trace without arrivals valid.
+        arrivals = [np.empty(0)]
+        inputs = [np.empty(0, dtype=np.int64)]
+        outputs = [np.empty(0, dtype=np.int64)]
+        past_window = False
         n_bins = int(math.ceil(duration_s / bin_seconds))
         for index in range(n_bins):
             bin_start = index * bin_seconds
@@ -205,20 +217,37 @@ class SyntheticTraceGenerator:
             count = int(rng.poisson(expected))
             if count == 0:
                 continue
-            arrival_offsets = sorted(rng.uniform(0.0, bin_seconds, size=count))
-            for offset, (n_in, n_out) in zip(
-                arrival_offsets, self._sample_lengths(count, start_offset_s + bin_start)
-            ):
-                requests.append(
-                    Request(
-                        arrival_time=bin_start + float(offset),
-                        input_tokens=n_in,
-                        output_tokens=n_out,
-                        service=self.profile.name,
-                        slo_scale=slo_scale,
-                    )
-                )
-        return Trace(name=f"{self.profile.name}-{duration_s / 3600.0:.0f}h", requests=requests)
+            if window_s is not None and bin_start > window_s:
+                # Its arrivals all fall after the window, so the full trace
+                # would be clipped; no later draw can change the result.
+                past_window = True
+                break
+            offsets = np.sort(rng.uniform(0.0, bin_seconds, size=count))
+            n_in, n_out = self._sample_lengths(count, start_offset_s + bin_start)
+            arrivals.append(bin_start + offsets)
+            inputs.append(n_in)
+            outputs.append(n_out)
+        arrival = np.concatenate(arrivals)
+        n_in = np.concatenate(inputs)
+        n_out = np.concatenate(outputs)
+        name = f"{self.profile.name}-{duration_s / 3600.0:.0f}h"
+        last_arrival = arrival.max() if arrival.size else 0.0
+        if window_s is not None and (past_window or window_s < last_arrival):
+            keep = arrival < window_s
+            arrival, n_in, n_out = arrival[keep], n_in[keep], n_out[keep]
+            name = f"{name}[0:{window_s:.0f}]"
+        service = self.profile.name
+        requests = [
+            Request(
+                arrival_time=at,
+                input_tokens=i,
+                output_tokens=o,
+                service=service,
+                slo_scale=slo_scale,
+            )
+            for at, i, o in zip(arrival.tolist(), n_in.tolist(), n_out.tolist())
+        ]
+        return Trace(name=name, requests=requests)
 
     # ------------------------------------------------------------------
     # Binned traces (used for the week-long fluid simulations)
@@ -229,6 +258,7 @@ class SyntheticTraceGenerator:
         bin_seconds: float = 300.0,
         start_offset_s: float = 0.0,
         samples_per_bin: int = 64,
+        window_s: Optional[float] = None,
     ) -> List[TraceBin]:
         """Generate aggregate per-bin load without materialising requests.
 
@@ -237,11 +267,17 @@ class SyntheticTraceGenerator:
         length pairs.  This is the input to the coarse (fluid) simulator
         used for the day/week experiments, mirroring the paper's
         discrete-time simulator for large-scale results (Section V-E).
+
+        ``window_s`` keeps only the first ``window_s`` seconds: generation
+        stops at the bin that covers them, and :func:`clip_bins` truncates
+        that bin, so the result is the full trace clipped to ``window_s``.
         """
         bins: List[TraceBin] = []
         n_bins = int(math.ceil(duration_s / bin_seconds))
         for index in range(n_bins):
             bin_start = index * bin_seconds
+            if window_s is not None and bin_start >= window_s:
+                break
             expected = self._bin_rate(start_offset_s + bin_start, bin_seconds)
             count = max(0, int(round(expected)))
             count_by_type: Dict[str, int] = {}
@@ -250,25 +286,18 @@ class SyntheticTraceGenerator:
             output_tokens = 0
             if count > 0:
                 sample_count = min(samples_per_bin, max(8, count))
-                samples = self._sample_lengths(sample_count, start_offset_s + bin_start)
-                per_sample_weight = count / len(samples)
-                for n_in, n_out in samples:
-                    type_name = classify_length(n_in, n_out).name
-                    count_by_type[type_name] = count_by_type.get(type_name, 0) + 1
-                    tokens_by_type[type_name] = (
-                        tokens_by_type.get(type_name, 0) + n_in + n_out
-                    )
-                    input_tokens += n_in
-                    output_tokens += n_out
+                n_in, n_out = self._sample_lengths(sample_count, start_offset_s + bin_start)
                 # Scale sampled statistics up to the expected bin volume.
-                count_by_type = {
-                    k: int(round(v * per_sample_weight)) for k, v in count_by_type.items()
-                }
-                tokens_by_type = {
-                    k: int(round(v * per_sample_weight)) for k, v in tokens_by_type.items()
-                }
-                input_tokens = int(round(input_tokens * per_sample_weight))
-                output_tokens = int(round(output_tokens * per_sample_weight))
+                per_sample_weight = count / sample_count
+                types = classify_lengths(n_in, n_out)
+                type_counts = np.bincount(types).tolist()
+                type_tokens = np.bincount(types, weights=n_in + n_out).tolist()
+                for code in dict.fromkeys(types.tolist()):  # first-appearance order
+                    type_name = REQUEST_TYPE_NAMES[code]
+                    count_by_type[type_name] = int(round(type_counts[code] * per_sample_weight))
+                    tokens_by_type[type_name] = int(round(type_tokens[code] * per_sample_weight))
+                input_tokens = int(round(int(n_in.sum()) * per_sample_weight))
+                output_tokens = int(round(int(n_out.sum()) * per_sample_weight))
             bins.append(
                 TraceBin(
                     start_time=bin_start,
@@ -280,7 +309,7 @@ class SyntheticTraceGenerator:
                     tokens_by_type=tokens_by_type,
                 )
             )
-        return bins
+        return bins if window_s is None else clip_bins(bins, window_s)
 
 
 # ----------------------------------------------------------------------
@@ -291,16 +320,22 @@ def make_one_hour_trace(
     seed: int = 7,
     rate_scale: float = 1.0,
     slo_scale: float = 1.0,
+    duration_s: Optional[float] = None,
 ) -> Trace:
     """A 1-hour request-level trace (stand-in for the open-source trace).
 
     The window is placed on Tuesday early afternoon, near the weekly
     peak, so that the hour contains both a ramp and a local dip.
+    ``duration_s`` keeps only the hour's first ``duration_s`` seconds
+    (see :meth:`SyntheticTraceGenerator.generate_requests`).
     """
     generator = SyntheticTraceGenerator(get_service_profile(service), seed=seed, rate_scale=rate_scale)
     start = SECONDS_PER_DAY + 12.5 * SECONDS_PER_HOUR  # Tuesday 12:30
     return generator.generate_requests(
-        duration_s=SECONDS_PER_HOUR, start_offset_s=start, slo_scale=slo_scale
+        duration_s=SECONDS_PER_HOUR,
+        start_offset_s=start,
+        slo_scale=slo_scale,
+        window_s=duration_s,
     )
 
 
@@ -325,7 +360,14 @@ def make_week_trace(
     seed: int = 7,
     rate_scale: float = 1.0,
     bin_seconds: float = 300.0,
+    duration_s: Optional[float] = None,
 ) -> List[TraceBin]:
-    """A week-long binned trace starting Monday 00:00 (for fluid runs)."""
+    """A week-long binned trace starting Monday 00:00 (for fluid runs).
+
+    ``duration_s`` keeps only the week's first ``duration_s`` seconds
+    (see :meth:`SyntheticTraceGenerator.generate_bins`).
+    """
     generator = SyntheticTraceGenerator(get_service_profile(service), seed=seed, rate_scale=rate_scale)
-    return generator.generate_bins(duration_s=SECONDS_PER_WEEK, bin_seconds=bin_seconds)
+    return generator.generate_bins(
+        duration_s=SECONDS_PER_WEEK, bin_seconds=bin_seconds, window_s=duration_s
+    )

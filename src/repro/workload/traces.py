@@ -216,6 +216,54 @@ def bin_trace(trace: Trace, bin_seconds: float, horizon: Optional[float] = None)
     return bins
 
 
+def clip_bins(bins: Sequence[TraceBin], duration_s: float) -> List[TraceBin]:
+    """Clip a binned trace to ``duration_s``, like request-level clipping.
+
+    A bin straddling the cut is truncated: its duration becomes the
+    remaining window and its aggregates scale by the kept fraction, so
+    the offered *rate* is unchanged while the simulated horizon (and
+    hence energy) honours the requested duration exactly.  The per-type
+    maps are scaled first and the totals derived from them (splitting
+    tokens by the bin's original prompt share), so the truncated bin
+    stays internally consistent — independent rounding could otherwise
+    zero a type map while the totals still report load.
+    """
+    clipped = []
+    for b in bins:
+        if b.start_time >= duration_s:
+            break
+        if b.start_time + b.duration <= duration_s:
+            clipped.append(b)
+            continue
+        fraction = (duration_s - b.start_time) / b.duration
+        tokens_by_type = {
+            k: int(round(v * fraction)) for k, v in b.tokens_by_type.items()
+        }
+        tokens_by_type = {k: v for k, v in tokens_by_type.items() if v > 0}
+        count_by_type = {
+            k: max(1, int(round(v * fraction)))
+            for k, v in b.count_by_type.items()
+            if k in tokens_by_type
+        }
+        total_tokens = sum(tokens_by_type.values())
+        prompt_share = (
+            b.input_tokens / b.total_tokens if b.total_tokens > 0 else 0.0
+        )
+        input_tokens = int(round(total_tokens * prompt_share))
+        clipped.append(
+            TraceBin(
+                start_time=b.start_time,
+                duration=duration_s - b.start_time,
+                request_count=sum(count_by_type.values()),
+                input_tokens=input_tokens,
+                output_tokens=total_tokens - input_tokens,
+                count_by_type=count_by_type,
+                tokens_by_type=tokens_by_type,
+            )
+        )
+    return clipped
+
+
 def type_distribution(trace: Trace) -> Dict[str, float]:
     """Fraction of requests per request type over the whole trace."""
     counts = {name: 0 for name in REQUEST_TYPE_NAMES}

@@ -266,7 +266,7 @@ class TestClusterManager:
         manager = controller.cluster_manager
         manager.seed_history(0.0, {"SS": 20.0, "LL": 6000.0})
         manager.scale_epoch(0.0)
-        assert manager.pools["SS"].spill_fraction == 1.0
+        assert manager.pools["SS"].spilled
         assert manager.pools["SS"].gpu_budget == 0
 
     def test_static_budgets_preserved_without_scaling(self, profile):
