@@ -283,11 +283,14 @@ class FluidRunner:
         runner, static_budgets = self._resolve(spec, bins, static_budgets, fine_budgets)
         # Pools are summed in the scheme's order: a set's order follows the
         # process's string-hash seed, and so would the float sums.
-        rank = {pool: index for index, pool in enumerate(runner.scheme.pool_names())}
+        pool_order = runner.scheme.pool_names()
+        for pool in static_budgets:
+            if pool not in pool_order:
+                raise KeyError(f"unknown pool {pool!r} in scheme {runner.scheme.name}")
         previous_gpus: Dict[str, int] = {}
         for trace_bin in bins:
             loads = runner._pool_loads(trace_bin)
-            pools = sorted(set(loads) | set(static_budgets), key=rank.__getitem__)
+            pools = [p for p in pool_order if p in loads or p in static_budgets]
             bin_power = 0.0
             bin_gpus = 0
             pool_gpus: Dict[str, int] = {}

@@ -258,7 +258,6 @@ class SyntheticTraceGenerator:
         bin_seconds: float = 300.0,
         start_offset_s: float = 0.0,
         samples_per_bin: int = 64,
-        window_s: Optional[float] = None,
     ) -> List[TraceBin]:
         """Generate aggregate per-bin load without materialising requests.
 
@@ -267,17 +266,11 @@ class SyntheticTraceGenerator:
         length pairs.  This is the input to the coarse (fluid) simulator
         used for the day/week experiments, mirroring the paper's
         discrete-time simulator for large-scale results (Section V-E).
-
-        ``window_s`` keeps only the first ``window_s`` seconds: generation
-        stops at the bin that covers them, and :func:`clip_bins` truncates
-        that bin, so the result is the full trace clipped to ``window_s``.
         """
         bins: List[TraceBin] = []
         n_bins = int(math.ceil(duration_s / bin_seconds))
         for index in range(n_bins):
             bin_start = index * bin_seconds
-            if window_s is not None and bin_start >= window_s:
-                break
             expected = self._bin_rate(start_offset_s + bin_start, bin_seconds)
             count = max(0, int(round(expected)))
             count_by_type: Dict[str, int] = {}
@@ -309,7 +302,7 @@ class SyntheticTraceGenerator:
                     tokens_by_type=tokens_by_type,
                 )
             )
-        return bins if window_s is None else clip_bins(bins, window_s)
+        return bins
 
 
 # ----------------------------------------------------------------------
@@ -364,10 +357,14 @@ def make_week_trace(
 ) -> List[TraceBin]:
     """A week-long binned trace starting Monday 00:00 (for fluid runs).
 
-    ``duration_s`` keeps only the week's first ``duration_s`` seconds
-    (see :meth:`SyntheticTraceGenerator.generate_bins`).
+    ``duration_s`` keeps only the week's first ``duration_s`` seconds.
+    Bins draw from the random stream one after another, so generating
+    only the bins that cover them and truncating the last one with
+    :func:`clip_bins` gives the full week clipped to ``duration_s``.
     """
     generator = SyntheticTraceGenerator(get_service_profile(service), seed=seed, rate_scale=rate_scale)
-    return generator.generate_bins(
-        duration_s=SECONDS_PER_WEEK, bin_seconds=bin_seconds, window_s=duration_s
+    bins = generator.generate_bins(
+        duration_s=SECONDS_PER_WEEK if duration_s is None else min(duration_s, SECONDS_PER_WEEK),
+        bin_seconds=bin_seconds,
     )
+    return bins if duration_s is None else clip_bins(bins, duration_s)

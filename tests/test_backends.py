@@ -110,6 +110,11 @@ class TestFluidRunnerEquivalence:
         assert via_engine.servers_timeline == direct.servers_timeline
         assert via_engine.reconfigurations == direct.reconfigurations
 
+    def test_pinned_budget_for_an_unknown_pool_is_rejected(self, day_bins):
+        # A budget the scheme cannot place must not be dropped silently.
+        with pytest.raises(KeyError, match="unknown pool"):
+            FluidRunner().run(DYNAMO_LLM, day_bins, static_budgets={"no-such-pool": 2})
+
     def test_run_policies_fluid_backend(self, day_trace, day_bins):
         summaries = run_policies(day_trace, ALL_POLICIES, backend="fluid")
         direct = FluidRunner().run_all(ALL_POLICIES, day_bins)
