@@ -2,9 +2,9 @@
 
 Measures the stepped :class:`~repro.api.engine.SimulationEngine` with the
 full observer set against ``lean=True`` (summary observers only), and a
-12-scenario sweep serial vs thread-parallel.  The lean and parallel modes
-exist purely for sweep speed — their summary metrics are asserted equal
-to the full/serial runs.
+12-scenario sweep serial vs on a process pool.  Lean runs and worker
+processes exist purely for sweep speed — their summary metrics are
+asserted equal to the full/serial runs.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def test_sweep_serial(benchmark, bench_grid):
 def test_lean_transfer_payload_regression(bench_scenario):
     """Lean sweep results must stay cheap to pickle (process-pool transfer).
 
-    ``run_grid(mode="process")`` sends every RunSummary back through a
-    pipe; before compaction the per-request outcome objects dominated
+    ``run_grid(workers=n)`` sends every RunSummary back through a
+    pipe from its worker process; before compaction the per-request outcome objects dominated
     short scenarios.  Guard both the relative win over a full summary
     and an absolute per-request byte budget, and check the compact
     summary still answers every headline query identically.
@@ -85,7 +85,7 @@ def test_lean_transfer_payload_regression(bench_scenario):
 
 
 def test_sweep_parallel(benchmark, bench_grid):
-    """Same sweep on four worker threads — results must match serial."""
+    """Same sweep on four worker processes — results must match serial."""
     results = benchmark.pedantic(
         run_grid,
         args=(bench_grid,),

@@ -81,8 +81,6 @@ _EXPORTS = {
     "CarbonIntensityTrace": "repro.metrics",
     "CostModel": "repro.metrics",
     "ExperimentConfig": "repro.experiments",
-    "run_policy_on_trace": "repro.experiments",
-    "run_all_policies": "repro.experiments",
     "FluidRunner": "repro.experiments",
     "Observer": "repro.api",
     "Scenario": "repro.api",
@@ -162,8 +160,6 @@ __all__ = [
     "CarbonIntensityTrace",
     "CostModel",
     "ExperimentConfig",
-    "run_policy_on_trace",
-    "run_all_policies",
     "FluidRunner",
     "quick_comparison",
     # Unified scenario/engine API

@@ -195,7 +195,6 @@ def cmd_sweep(args) -> int:
             grid,
             workers=args.workers,
             lean=not args.timelines,
-            mode=args.mode,
             sink=sink_for_path(args.out, resume=args.resume),
         )
         elapsed = time.perf_counter() - started
@@ -209,9 +208,7 @@ def cmd_sweep(args) -> int:
         # Failed scenarios are recorded as error records and retried by
         # a --resume rerun; surface them in the exit status.
         return 1 if report.failed else 0
-    summaries = run_grid(
-        grid, workers=args.workers, lean=not args.timelines, mode=args.mode
-    )
+    summaries = run_grid(grid, workers=args.workers, lean=not args.timelines)
     elapsed = time.perf_counter() - started
     rows = [_headline_row(key, summary) for key, summary in summaries.items()]
     if args.json:
@@ -309,7 +306,6 @@ def cmd_campaign(args) -> int:
         shard_runs = runner.run(
             shard=shard,
             workers=args.workers,
-            mode=args.mode,
             resume=not args.no_resume,
         )
         elapsed = time.perf_counter() - started
@@ -480,11 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--slo-scales", default=None, help="comma-separated, e.g. 1,2,4")
     sweep_parser.add_argument("--accuracies", default=None, help="comma-separated, e.g. 1.0,0.8")
     sweep_parser.add_argument("--pool-counts", default=None, help="comma-separated, e.g. 2,4,9")
-    sweep_parser.add_argument("--workers", type=int, default=None, help="parallel scenario runs")
-    sweep_parser.add_argument(
-        "--mode", default="thread", choices=("thread", "process"),
-        help="worker pool kind (process = true multi-core parallelism)",
-    )
+    sweep_parser.add_argument("--workers", type=int, default=None,
+                              help="parallel scenario runs (worker processes)")
     sweep_parser.add_argument("--timelines", action="store_true",
                               help="record full timelines (slower)")
     sweep_parser.add_argument("--out", default=None, metavar="PATH",
@@ -532,11 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
              "each shard streams into its own results file)",
     )
     campaign_run.add_argument("--workers", type=int, default=None,
-                              help="parallel scenario runs (overrides manifest)")
-    campaign_run.add_argument(
-        "--mode", default=None, choices=("thread", "process"),
-        help="worker pool kind (overrides manifest)",
-    )
+                              help="parallel scenario runs in worker processes "
+                                   "(overrides manifest)")
     campaign_run.add_argument(
         "--no-resume", action="store_true",
         help="refuse existing results instead of resuming into them "

@@ -1,7 +1,6 @@
 """Unified experiment-facing API: scenarios, engine, observers, executors.
 
-This layer replaces the monolithic ``run_policy_on_trace`` loop with
-three composable pieces:
+The experiment-facing layer is built from composable pieces:
 
 * :mod:`repro.api.scenario` — immutable :class:`Scenario` descriptions
   (including the simulation ``backend``), :class:`TraceSpec` recipes and
@@ -13,7 +12,7 @@ three composable pieces:
   runs the binned fluid simulator behind the same stepped/observed
   interface (``Scenario(backend="fluid")``);
 * :mod:`repro.api.executor` — :func:`runs` / :func:`run_grid` /
-  :func:`run_policies` with optional thread-parallel execution;
+  :func:`run_policies`, serial or on a process pool (``workers > 1``);
 * :mod:`repro.api.sinks` — streamed :class:`ResultSink` outputs
   (:class:`JsonlSink` / :class:`CsvSink` / :class:`InMemorySink`) so
   1000+-scenario sweeps flush results incrementally.  File sinks are

@@ -195,7 +195,6 @@ class CampaignManifest:
     output: str
     description: str = ""
     workers: Optional[int] = None
-    mode: str = "thread"
     shards: int = 1
     lean: bool = True
     report: ReportSpec = field(default_factory=ReportSpec)
@@ -217,11 +216,6 @@ class CampaignManifest:
             raise ManifestError(
                 f"manifest {self.name!r}: bad output {self.output!r}: {error}"
             ) from None
-        if self.mode not in ("thread", "process"):
-            raise ManifestError(
-                f"manifest {self.name!r}: unknown execution mode {self.mode!r}; "
-                "use 'thread' or 'process'"
-            )
         if not isinstance(self.shards, int) or self.shards < 1:
             raise ManifestError(
                 f"manifest {self.name!r}: shards must be a positive integer, "
@@ -236,7 +230,7 @@ class CampaignManifest:
             )
 
 
-_EXECUTION_KEYS = ("workers", "mode", "shards", "lean")
+_EXECUTION_KEYS = ("workers", "shards", "lean")
 _TOP_LEVEL_KEYS = ("name", "description", "grid", "grids", "output", "execution", "report")
 
 
@@ -339,7 +333,6 @@ def manifest_from_dict(
         grids=tuple(grids),
         output=output,
         workers=execution.get("workers"),
-        mode=execution.get("mode", "thread"),
         shards=execution.get("shards", 1),
         lean=bool(execution.get("lean", True)),
         report=report,
@@ -933,7 +926,6 @@ class CampaignRunner:
         output: Optional[str] = None,
         report: Optional[ReportSpec] = None,
         workers: Optional[int] = None,
-        mode: str = "thread",
         shards: int = 1,
         lean: bool = True,
     ) -> "CampaignRunner":
@@ -950,7 +942,6 @@ class CampaignRunner:
             grids=({},),  # placeholder; expansion is pre-empted below
             output=output or f"{name}.jsonl",
             workers=workers,
-            mode=mode,
             shards=shards,
             lean=lean,
             report=report or ReportSpec(),
@@ -975,7 +966,6 @@ class CampaignRunner:
         self,
         shard: Optional[Tuple[int, int]] = None,
         workers: Optional[int] = None,
-        mode: Optional[str] = None,
         resume: bool = True,
         sink: Optional[ResultSink] = None,
     ) -> List[ShardRun]:
@@ -996,7 +986,6 @@ class CampaignRunner:
         """
         grid = self.grid()
         workers = workers if workers is not None else self.manifest.workers
-        mode = mode or self.manifest.mode
         if sink is not None:
             scenarios = (
                 shard_scenarios(grid, *shard) if shard is not None else list(grid)
@@ -1005,7 +994,6 @@ class CampaignRunner:
                 scenarios,
                 workers=workers,
                 lean=self.manifest.lean,
-                mode=mode,
                 sink=sink,
                 resume=resume or sink.resume,
             )
@@ -1042,7 +1030,6 @@ class CampaignRunner:
                 scenarios,
                 workers=workers,
                 lean=self.manifest.lean,
-                mode=mode,
                 sink=file_sink,
                 resume=resume,
             )
@@ -1149,14 +1136,12 @@ class CampaignRunner:
             )
         return build_report(self.manifest.report, self.grid(), records)
 
-    def run_in_memory(
-        self, workers: Optional[int] = None, mode: Optional[str] = None
-    ) -> InMemorySink:
+    def run_in_memory(self, workers: Optional[int] = None) -> InMemorySink:
         """Run the whole grid into an :class:`InMemorySink` and return it.
 
         The in-process path the ported figure drivers use: full
         :class:`~repro.metrics.summary.RunSummary` objects, no files.
         """
         sink = InMemorySink()
-        self.run(workers=workers, mode=mode, sink=sink, resume=False)
+        self.run(workers=workers, sink=sink, resume=False)
         return sink

@@ -1,10 +1,10 @@
 """The stepped simulation engine behind every request-level experiment.
 
-:class:`SimulationEngine` is the legacy ``run_policy_on_trace`` while
-loop refactored into an explicit engine: construction wires the cluster,
-predictor and policy exactly as before; :meth:`step` advances one time
-step; :meth:`run` drives the loop to completion and assembles the
-:class:`~repro.metrics.summary.RunSummary` from its observers.
+:class:`SimulationEngine` runs one policy over one request-level trace:
+construction wires the cluster, predictor and policy; :meth:`step`
+advances one time step; :meth:`run` drives the loop to completion and
+assembles the :class:`~repro.metrics.summary.RunSummary` from its
+observers.
 
 Metric collection lives entirely in pluggable
 :class:`~repro.api.observers.Observer` instances — the engine only emits
@@ -13,8 +13,8 @@ typed events (:class:`~repro.api.observers.RunStarted`,
 :class:`~repro.api.observers.EpochReconfigured`,
 :class:`~repro.api.observers.StepCompleted`,
 :class:`~repro.api.observers.RunFinished`).  With the default observer
-set the resulting summary is field-for-field identical to the legacy
-runner's; ``lean=True`` drops the timeline collectors for faster sweeps.
+set the summary carries the full timelines; ``lean=True`` drops the
+timeline collectors for faster sweeps.
 """
 
 from __future__ import annotations
@@ -52,7 +52,10 @@ class SimulationEngine(ObserverDispatch):
     spec:
         The policy to simulate.
     trace:
-        The request-level trace to serve.
+        The request-level trace to serve.  Its requests must be sorted by
+        arrival time (:class:`~repro.workload.traces.Trace` sorts them on
+        construction); the per-step admission slice is a
+        ``numpy.searchsorted`` over the arrival-time column.
     config:
         Simulation configuration; defaults to ``ExperimentConfig()``.
     observers:
@@ -65,18 +68,11 @@ class SimulationEngine(ObserverDispatch):
         retention on the cluster and its instances, so memory stays
         bounded regardless of horizon.  Large sweeps that never look at
         timelines run measurably faster this way.
-    vectorized:
-        When ``True`` (the default) the per-step admission slice comes
-        from a ``numpy.searchsorted`` over the trace's arrival-time
-        column instead of a per-request Python walk.  The engine falls
-        back to the scalar walk automatically when the trace's arrivals
-        are not sorted; both paths route exactly the same requests at
-        exactly the same step.
     load_fractions / warm_loads:
         Optional precomputed capacity-planning inputs (the executor
         caches them per trace x scheme so grid members sharing a trace
         do not re-bin it).  When omitted they are derived from the
-        trace, exactly as the legacy runner did.
+        trace.
     """
 
     def __init__(
@@ -88,7 +84,6 @@ class SimulationEngine(ObserverDispatch):
         lean: bool = False,
         load_fractions=None,
         warm_loads=None,
-        vectorized: bool = True,
     ) -> None:
         from repro.experiments.runner import ExperimentConfig, resolve_static_servers
 
@@ -150,14 +145,16 @@ class SimulationEngine(ObserverDispatch):
         self._clock = SimClock(time_step=self._dt)
         self._horizon = trace.duration + self._dt
         self._drain_deadline = self._horizon + self.config.drain_timeout_s
-        # Arrival-time column for the vectorized admission slice.  The
-        # scalar walk remains as a fallback for unsorted request lists
-        # (Trace sorts on construction, but the engine does not assume).
+        # Arrival-time column for the per-step admission slice.
         self._arrivals = np.array(
             [request.arrival_time for request in self._requests], dtype=float
         )
-        sorted_arrivals = bool(np.all(np.diff(self._arrivals) >= 0.0))
-        self._vectorized = vectorized and sorted_arrivals
+        if not np.all(np.diff(self._arrivals) >= 0.0):
+            raise ValueError(
+                f"trace {trace.name!r}: request arrivals are not sorted by "
+                "arrival time (were trace.requests reassigned after "
+                "construction?); build a new Trace from the requests"
+            )
         self.now = 0.0
         self.reconfigurations = 0
         self._started = False
@@ -228,36 +225,21 @@ class SimulationEngine(ObserverDispatch):
         # the horizon is (boundaries are computed as k*dt, not
         # accumulated additions).
         boundary = self._clock.time_of_step(self._clock.step + 1)
-        if self._vectorized:
-            end = int(np.searchsorted(self._arrivals, boundary, side="left"))
-            route = self.policy.route
-            if self._route_listeners:
-                for index in range(self._request_index, end):
-                    request = self._requests[index]
-                    route(request, now)
-                    self._emit(
-                        self._route_listeners,
-                        "on_request_routed",
-                        RequestRouted(time=now, request=request),
-                    )
-            else:
-                for index in range(self._request_index, end):
-                    route(self._requests[index], now)
-            self._request_index = end
+        end = int(np.searchsorted(self._arrivals, boundary, side="left"))
+        route = self.policy.route
+        if self._route_listeners:
+            for index in range(self._request_index, end):
+                request = self._requests[index]
+                route(request, now)
+                self._emit(
+                    self._route_listeners,
+                    "on_request_routed",
+                    RequestRouted(time=now, request=request),
+                )
         else:
-            while (
-                self._request_index < len(self._requests)
-                and self._requests[self._request_index].arrival_time < boundary
-            ):
-                request = self._requests[self._request_index]
-                self.policy.route(request, now)
-                if self._route_listeners:
-                    self._emit(
-                        self._route_listeners,
-                        "on_request_routed",
-                        RequestRouted(time=now, request=request),
-                    )
-                self._request_index += 1
+            for index in range(self._request_index, end):
+                route(self._requests[index], now)
+        self._request_index = end
 
         self.policy.on_step(now, dt)
         stats = self.cluster.step(now, dt, full_stats=self._full_stats)

@@ -4,28 +4,25 @@
 engine its ``backend`` selects (the per-request
 :class:`~repro.api.engine.SimulationEngine` or the binned
 :class:`~repro.api.fluid_engine.FluidEngine`).  ``runs`` and
-``run_grid`` execute many scenarios, serially or on a
-``concurrent.futures`` pool; results come back in input order
+``run_grid`` execute many scenarios; results come back in input order
 (``runs``) or keyed by :attr:`Scenario.key` (``run_grid``) and are
-identical across execution modes (every engine owns its RNG streams,
-and parallel thread runs get private copies of shared request objects).
+identical whether they ran serially or in parallel: every engine owns
+its RNG streams, and no run writes to the requests of its trace, so
+jobs that share one trace need no private copies.
 
-Two parallel modes:
-
-* ``mode="thread"`` (default) — works everywhere, nothing to pickle.
-  The simulation is pure CPU-bound Python, so the GIL limits the
-  speedup; threads mainly help once scenario setup or observers do I/O.
-* ``mode="process"`` — true multi-core parallelism for large sweeps on
-  multi-core machines; scenarios and summaries must pickle (they do for
-  everything in-tree) and each worker pays a fork/spawn cost, so prefer
-  it when individual scenarios run for seconds, not milliseconds.
-  Event-backend traces are not pickled per job: the executor encodes
-  each shared trace once into numpy columns in POSIX shared memory
-  (:mod:`multiprocessing.shared_memory`) and ships only the segment
-  name; every worker rehydrates the trace once per process from the
-  segment, however many grid members reuse it.  Rehydrated requests
-  are field-identical to the originals (ids, services and SLO scales
-  included), so results stay identical across modes.
+``workers`` of ``None``, 0 or 1 runs the scenarios one after another in
+the calling process.  ``workers > 1`` runs them on a
+:class:`~concurrent.futures.ProcessPoolExecutor`: true multi-core
+parallelism, at the price of a fork/spawn per worker and pickled
+scenarios and summaries (everything in-tree pickles), so it pays off
+once individual scenarios run for seconds, not milliseconds.
+Event-backend traces are not pickled per job: the executor encodes each
+shared trace once into numpy columns in POSIX shared memory
+(:mod:`multiprocessing.shared_memory`) and ships only the segment name;
+every worker rehydrates the trace once per process from the segment,
+however many grid members reuse it.  Rehydrated requests are
+field-identical to the originals (ids, services and SLO scales
+included), so parallel results equal serial ones.
 
 Passing ``sink=`` (a :class:`~repro.api.sinks.ResultSink`) switches the
 executors to *streaming* mode: each summary is handed to the sink as it
@@ -52,22 +49,15 @@ Streamed sweeps are *fault-tolerant* and *resumable*:
   raises :class:`~repro.api.sinks.ResultsMismatchError` — the file was
   written by a different grid and must not be mixed with this one.
 
-``run_policies`` is the engine-backed successor of the legacy
-``run_all_policies``: it runs several policies over one trace with a
-shared static-server budget — computed into a local copy of the config,
-never written back onto the caller's.
+``run_policies`` runs several policies over one trace with a shared
+static-server budget — computed into a local copy of the config, never
+written back onto the caller's.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from multiprocessing import shared_memory
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -218,9 +208,9 @@ def _encode_trace(trace: Trace) -> Tuple["_SharedTrace", shared_memory.SharedMem
 
 #: Per-worker-process rehydration cache: segment name -> decoded Trace.
 #: Grid members sharing a trace decode it once per worker instead of
-#: unpickling a request list per job.  Jobs never run the cached
-#: requests directly (see _run_job's isolation copy), so the cache stays
-#: pristine across jobs.
+#: unpickling a request list per job.  A run never writes to its
+#: trace's requests, so jobs in one worker share the cached requests
+#: exactly like serial jobs share the caller's.
 _WORKER_TRACES: Dict[str, Trace] = {}
 
 
@@ -349,8 +339,7 @@ def _prepared(scenarios: Sequence[Scenario]) -> List[_Job]:
     budgets); the static server budget (trace x profile) and the
     per-pool load fractions / warm loads (trace x scheme) are each
     computed once instead of per scenario.  Doing this serially up front
-    also keeps worker threads free of shared lazy caches, so parallel
-    execution is deterministic and does no duplicated work.
+    also spares every worker process the duplicated work.
     """
     from repro.experiments.fluid import FluidRunner
     from repro.experiments.runner import (
@@ -442,10 +431,9 @@ def _prepared(scenarios: Sequence[Scenario]) -> List[_Job]:
     return jobs
 
 
-def _run_job(job: _Job, lean: bool, isolate: bool = False) -> RunSummary:
+def _run_job(job: _Job, lean: bool) -> RunSummary:
     scenario = job.scenario
     if scenario.backend == "fluid":
-        # Fluid jobs only read their (shared) bins — no isolation needed.
         engine = FluidEngine(
             scenario.policy_spec(),
             job.bins,
@@ -459,18 +447,8 @@ def _run_job(job: _Job, lean: bool, isolate: bool = False) -> RunSummary:
     trace = job.trace
     if trace is None and job.shared_trace is not None:
         # Process-pool job: rehydrate from shared memory (cached per
-        # worker process) and isolate below — jobs in the same worker
-        # share the cached Request objects exactly like thread-parallel
-        # jobs share the parent's.
+        # worker process).
         trace = _materialise_shared(job.shared_trace)
-        isolate = True
-    if isolate:
-        # Parallel runs share Request objects across engines, and the
-        # cluster manager writes `request.predicted_type`; give each
-        # engine private copies so concurrent scenarios cannot race.
-        trace = Trace(
-            name=trace.name, requests=[copy.copy(r) for r in trace.requests]
-        )
     engine = SimulationEngine(
         scenario.policy_spec(),
         trace,
@@ -483,36 +461,24 @@ def _run_job(job: _Job, lean: bool, isolate: bool = False) -> RunSummary:
     # Lean sweeps only consume summary statistics; condense the
     # per-request payloads so process pools do not spend their speedup
     # pickling outcome objects back to the parent (every derived metric
-    # is unchanged — see RunSummary.compact).  Applied in serial mode
-    # too, so results are identical across execution modes.
+    # is unchanged — see RunSummary.compact).  Applied serially too, so
+    # serial and parallel results are identical.
     return summary.compact() if lean else summary
 
 
-def _pool_for(mode: str, workers: int):
-    if mode == "thread":
-        return ThreadPoolExecutor(max_workers=workers)
-    if mode == "process":
-        return ProcessPoolExecutor(max_workers=workers)
-    raise ValueError(f"unknown executor mode {mode!r}; use 'thread' or 'process'")
-
-
-def _execute(jobs: List[_Job], workers: Optional[int], lean: bool, mode: str) -> List[RunSummary]:
+def _execute(jobs: List[_Job], workers: Optional[int], lean: bool) -> List[RunSummary]:
     if not workers or workers <= 1:
         return [_run_job(job, lean) for job in jobs]
-    arena: Optional[_SharedTraceArena] = None
-    if mode == "process":
-        arena = _SharedTraceArena()
-        jobs = [arena.adopt(job) for job in jobs]
+    arena = _SharedTraceArena()
+    jobs = [arena.adopt(job) for job in jobs]
     try:
-        with _pool_for(mode, workers) as pool:
-            isolate = mode == "thread"
-            futures = [pool.submit(_run_job, job, lean, isolate) for job in jobs]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_job, job, lean) for job in jobs]
             return [future.result() for future in futures]
     finally:
         # Unlink only after the pool context has joined its workers, so
         # no worker is still attaching to a segment being removed.
-        if arena is not None:
-            arena.close()
+        arena.close()
 
 
 def _stream(
@@ -520,7 +486,6 @@ def _stream(
     keys: Sequence[str],
     workers: Optional[int],
     lean: bool,
-    mode: str,
     sink: ResultSink,
     skipped: int = 0,
 ) -> SweepReport:
@@ -566,15 +531,12 @@ def _stream(
                 for key, job in zip(keys, jobs):
                     _consume(key, lambda: _run_job(job, lean))
             else:
-                arena: Optional[_SharedTraceArena] = None
-                if mode == "process":
-                    arena = _SharedTraceArena()
-                    jobs = [arena.adopt(job) for job in jobs]
+                arena = _SharedTraceArena()
+                jobs = [arena.adopt(job) for job in jobs]
                 try:
-                    with _pool_for(mode, workers) as pool:
-                        isolate = mode == "thread"
+                    with ProcessPoolExecutor(max_workers=workers) as pool:
                         futures = {
-                            pool.submit(_run_job, job, lean, isolate): key
+                            pool.submit(_run_job, job, lean): key
                             for key, job in zip(keys, jobs)
                         }
                         # as_completed snapshots the future set up
@@ -595,8 +557,7 @@ def _stream(
                     # The pool context has joined its workers by the
                     # time this runs, so unlinking the segments here
                     # cannot race a worker's attach.
-                    if arena is not None:
-                        arena.close()
+                    arena.close()
         finally:
             sink.report = SweepReport(
                 total=len(jobs) + skipped, skipped=skipped, ran=ran, failed=failed
@@ -608,18 +569,17 @@ def runs(
     scenarios: Iterable[Scenario],
     workers: Optional[int] = None,
     lean: bool = False,
-    mode: str = "thread",
     sink: Optional[ResultSink] = None,
     resume: bool = False,
 ) -> Union[List[RunSummary], ResultSink]:
     """Run many scenarios, returning summaries in input order.
 
-    ``workers`` > 1 executes scenarios on a thread or process pool (see
-    the module docstring for the trade-off); ``None``, 0 or 1 runs them
-    serially.  Results are identical in every mode.  ``lean=True``
-    additionally returns *compact* summaries (condensed latency arrays
-    instead of per-request outcome objects — identical derived metrics,
-    far cheaper to transfer from process pools).
+    ``workers`` > 1 executes scenarios on a process pool (see the module
+    docstring for the trade-off); ``None``, 0 or 1 runs them serially.
+    Results are identical either way.  ``lean=True`` additionally
+    returns *compact* summaries (condensed latency arrays instead of
+    per-request outcome objects — identical derived metrics, far cheaper
+    to transfer from process pools).
 
     With ``sink`` set, every summary is written to the sink as it
     completes (keyed by :attr:`Scenario.key`) instead of being
@@ -637,7 +597,7 @@ def runs(
                 "resume=True requires sink=; the sink's existing records "
                 "define which scenarios to skip"
             )
-        return _execute(_prepared(scenarios), workers, lean, mode)
+        return _execute(_prepared(scenarios), workers, lean)
     keys = [s.key for s in scenarios]
     duplicates = _duplicate_keys(keys)
     if duplicates:
@@ -661,7 +621,7 @@ def runs(
             skipped = len(scenarios) - len(kept)
             keys = [key for key, _ in kept]
             scenarios = [scenario for _, scenario in kept]
-    _stream(_prepared(scenarios), keys, workers, lean, mode, sink, skipped=skipped)
+    _stream(_prepared(scenarios), keys, workers, lean, sink, skipped=skipped)
     return sink
 
 
@@ -669,7 +629,6 @@ def run_grid(
     grid: ScenarioGrid,
     workers: Optional[int] = None,
     lean: bool = False,
-    mode: str = "thread",
     sink: Optional[ResultSink] = None,
     resume: bool = False,
 ) -> Union[Dict[str, RunSummary], ResultSink]:
@@ -686,10 +645,8 @@ def run_grid(
     if not isinstance(grid, ScenarioGrid):
         grid = ScenarioGrid(grid)
     if sink is not None or resume:
-        return runs(
-            grid, workers=workers, lean=lean, mode=mode, sink=sink, resume=resume
-        )
-    summaries = runs(grid, workers=workers, lean=lean, mode=mode)
+        return runs(grid, workers=workers, lean=lean, sink=sink, resume=resume)
+    summaries = runs(grid, workers=workers, lean=lean)
     return {scenario.key: summary for scenario, summary in zip(grid, summaries)}
 
 
@@ -699,7 +656,6 @@ def run_policies(
     config=None,
     workers: Optional[int] = None,
     lean: bool = False,
-    mode: str = "thread",
     backend: str = "event",
     sink: Optional[ResultSink] = None,
     resume: bool = False,
@@ -778,11 +734,8 @@ def run_policies(
         for spec in specs
     ]
     if sink is None:
-        summaries = runs(scenarios, workers=workers, lean=lean, mode=mode)
+        summaries = runs(scenarios, workers=workers, lean=lean)
         return {spec.name: summary for spec, summary in zip(specs, summaries)}
     jobs = _prepared(scenarios)
-    _stream(
-        jobs, [spec.name for spec in specs], workers, lean, mode, sink,
-        skipped=skipped,
-    )
+    _stream(jobs, [spec.name for spec in specs], workers, lean, sink, skipped=skipped)
     return sink

@@ -12,28 +12,10 @@ time, so policies that thrash the frequency pay for it in throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple
+from typing import List, Tuple
 
-from repro.cluster.compat import warn_moved_once
 from repro.core import hw
 from repro.llm.gpu import GPUSpec, H100
-
-#: Switch-overhead constants moved down to :mod:`repro.core.hw`; the old
-#: module-level names are served by ``__getattr__`` with a deprecation
-#: warning (they must not be real module attributes, or the shim would
-#: never fire).
-_MOVED_TO_HW = ("DEFAULT_SWITCH_OVERHEAD_S", "OPTIMIZED_SWITCH_OVERHEAD_S")
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_HW:
-        warn_moved_once(
-            f"frequency.{name}",
-            f"repro.cluster.frequency.{name}",
-            f"repro.core.hw.{name}",
-        )
-        return getattr(hw, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

@@ -16,32 +16,9 @@ the critical path) pays the full cold-boot delay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List
+from typing import List
 
-from repro.cluster.compat import warn_moved_once
 from repro.core import hw
-
-#: The boot-time breakdowns (paper Table V) moved down to
-#: :mod:`repro.core.hw`; the old module-level names are served by
-#: ``__getattr__`` with a deprecation warning (they must not be real
-#: module attributes, or the shim would never fire).
-_MOVED_TO_HW = (
-    "COLD_BOOT_BREAKDOWN_S",
-    "WARM_BOOT_BREAKDOWN_S",
-    "cold_boot_time_s",
-    "warm_boot_time_s",
-)
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_HW:
-        warn_moved_once(
-            f"vm.{name}",
-            f"repro.cluster.vm.{name}",
-            f"repro.core.hw.{name}",
-        )
-        return getattr(hw, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

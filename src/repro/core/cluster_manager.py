@@ -73,9 +73,7 @@ class ClusterManager:
     # ------------------------------------------------------------------
     def classify(self, request: Request) -> RequestType:
         """Predict the request type (input length exact, output predicted)."""
-        predicted = self.predictor.predict(request)
-        request.predicted_type = predicted.name
-        return predicted
+        return self.predictor.predict(request)
 
     def pool_for(
         self, request: Request, overloaded: Optional[Mapping[str, bool]] = None

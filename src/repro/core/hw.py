@@ -6,9 +6,7 @@ overhead (Section III-C, Figure 3) and the VM warm/cold boot times of
 the paper's Table V.  Both layers genuinely need the numbers — the
 controllers to decide whether a reconfiguration pays for itself, the
 simulator to charge it — so the tables live here, in the foundation
-layer, and :mod:`repro.cluster` imports them downward.  The historical
-``repro.cluster.frequency`` / ``repro.cluster.vm`` locations re-export
-them behind deprecation shims.
+layer, and :mod:`repro.cluster` imports them downward.
 """
 
 from __future__ import annotations

@@ -12,8 +12,6 @@ through :mod:`repro.experiments.registry`.
 
 from repro.experiments.runner import (
     ExperimentConfig,
-    run_policy_on_trace,
-    run_all_policies,
     recommended_static_servers,
     resolve_static_servers,
 )
@@ -21,8 +19,6 @@ from repro.experiments.fluid import FluidRunner, FluidResult
 
 __all__ = [
     "ExperimentConfig",
-    "run_policy_on_trace",
-    "run_all_policies",
     "recommended_static_servers",
     "resolve_static_servers",
     "FluidRunner",

@@ -16,10 +16,10 @@ one record per policy as it completes and returns the sink —
 ``resume=True`` then skips policies the sink already records, so an
 interrupted week-scale replay reruns only the missing systems.
 
-``figure14_weekly_energy`` keeps the classic direct-runner path (its
-``workers`` evaluates the services concurrently, one independent runner
-per service, results identical to a serial run); ``cost_summary``
-likewise — their registry twins are the API-backed drivers above.
+``figure14_weekly_energy`` keeps the classic direct-runner path: one
+:class:`~repro.experiments.fluid.FluidRunner` per service, evaluated one
+after another; ``cost_summary`` likewise — their registry twins are the
+API-backed drivers above.
 
 :func:`figure15_campaign` / :func:`figure16_campaign` are the
 manifest-driven counterparts: the bundled ``fig15_daily`` /
@@ -30,7 +30,6 @@ pivoted savings report).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.fluid import FluidResult, FluidRunner
@@ -60,7 +59,6 @@ def figure14_weekly_energy(
     model: ModelSpec = LLAMA2_70B,
     rate_scale: float = DEFAULT_WEEK_RATE_SCALE,
     policies=ALL_POLICIES,
-    workers: Optional[int] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Figure 14: normalised weekly energy of the six systems per service."""
 
@@ -71,10 +69,6 @@ def figure14_weekly_energy(
         baseline = runs["SinglePool"].energy_wh or 1.0
         return {name: run.energy_wh / baseline for name, run in runs.items()}
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {service: pool.submit(evaluate, service) for service in services}
-            return {service: future.result() for service, future in futures.items()}
     return {service: evaluate(service) for service in services}
 
 

@@ -1,28 +1,22 @@
-"""Experiment configuration, capacity planning and legacy runner shims.
+"""Experiment configuration and capacity planning.
 
-The request-level simulation loop that used to live here is now the
+The request-level simulation loop lives in
 :class:`repro.api.engine.SimulationEngine`; this module keeps
 
 * :class:`ExperimentConfig` — the configuration of one detailed run,
-* the capacity-planning helpers (static-budget sizing from a trace),
-* thin deprecation shims (:func:`run_policy_on_trace`,
-  :func:`run_all_policies`) that forward to the new engine so existing
-  drivers keep working unchanged.
+* the capacity-planning helpers (static-budget sizing from a trace).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.core.framework import ControllerEpochs
 from repro.llm.catalog import ModelSpec, LLAMA2_70B
-from repro.metrics.summary import RunSummary
 from repro.perf.profile import EnergyPerformanceProfile
 from repro.perf.profiler import get_default_profile
-from repro.policies.base import PolicySpec
 from repro.workload.classification import (
     ClassificationScheme,
     RequestType,
@@ -131,70 +125,3 @@ def resolve_static_servers(
     from repro.workload.classification import DEFAULT_SCHEME
 
     return recommended_static_servers(trace, profile, DEFAULT_SCHEME)
-
-
-# ----------------------------------------------------------------------
-# Legacy runner shims (deprecated: use repro.api instead)
-# ----------------------------------------------------------------------
-#: Shims that already warned this process (one DeprecationWarning each —
-#: a driver looping over a 1000-scenario sweep should not emit 1000).
-_DEPRECATIONS_WARNED: set = set()
-
-
-def _warn_deprecated_once(key: str, message: str) -> None:
-    if key in _DEPRECATIONS_WARNED:
-        return
-    _DEPRECATIONS_WARNED.add(key)
-    # stacklevel 3: attribute the warning to the shim's caller.
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
-def reset_deprecation_warnings() -> None:
-    """Re-arm the once-per-process shim warnings (for tests)."""
-    _DEPRECATIONS_WARNED.clear()
-
-
-def run_policy_on_trace(
-    spec: PolicySpec,
-    trace: Trace,
-    config: Optional[ExperimentConfig] = None,
-) -> RunSummary:
-    """Simulate ``spec`` serving ``trace`` and return the run summary.
-
-    .. deprecated::
-        Use :class:`repro.api.SimulationEngine` (or
-        :func:`repro.api.run_scenario`) instead.  This shim constructs
-        the engine with the default observer set, which reproduces the
-        legacy monolithic loop field-for-field.
-    """
-    _warn_deprecated_once(
-        "run_policy_on_trace",
-        "run_policy_on_trace is deprecated; use repro.api.SimulationEngine "
-        "or repro.api.run_scenario",
-    )
-    from repro.api.engine import SimulationEngine
-
-    return SimulationEngine(spec, trace, config).run()
-
-
-def run_all_policies(
-    trace: Trace,
-    specs: Iterable[PolicySpec],
-    config: Optional[ExperimentConfig] = None,
-    workers: Optional[int] = None,
-) -> Dict[str, RunSummary]:
-    """Run several policies on the same trace with a shared configuration.
-
-    .. deprecated::
-        Use :func:`repro.api.run_policies` instead (same semantics plus
-        parallel execution).  Unlike the original implementation, the
-        shared static budget is resolved into a *copy* of the config —
-        the caller's ``ExperimentConfig`` is no longer mutated.
-    """
-    _warn_deprecated_once(
-        "run_all_policies",
-        "run_all_policies is deprecated; use repro.api.run_policies",
-    )
-    from repro.api.executor import run_policies
-
-    return run_policies(trace, specs, config, workers=workers)

@@ -1,8 +1,8 @@
 """Concurrency rules (``CNC``): executor-submitted callables stay pure.
 
 The sweep executors (:mod:`repro.api.executor`,
-:mod:`repro.api.campaign`) fan scenarios out over thread/process pools
-and stream results through a single :class:`~repro.api.sinks.ResultSink`
+:mod:`repro.api.campaign`) fan scenarios out over process pools and
+stream results through a single :class:`~repro.api.sinks.ResultSink`
 on the **consuming** side of ``as_completed``.  Three hazards this
 family catches:
 

@@ -19,9 +19,8 @@ the same kind of data:
   test suite, the examples and the CLI quickstart.
 
 Parsed rows are cached per ``(path, mtime, size)`` so that grids whose
-scenarios share a trace file parse it once per process; every load still
-returns fresh :class:`~repro.workload.request.Request` objects because
-the simulator annotates requests in place (``predicted_type``).
+scenarios share a trace file parse it once per process; every load
+returns fresh :class:`~repro.workload.request.Request` objects.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 _REQUEST_COUNTER = itertools.count()
@@ -34,9 +33,6 @@ class Request:
     slo_scale:
         Multiplier on the baseline SLO (5x of isolated latency); some
         services run with relaxed 10x or 20x SLOs (Section III-A).
-    predicted_type:
-        Filled in by the cluster manager after consulting the
-        output-length predictor.
     """
 
     arrival_time: float
@@ -45,7 +41,6 @@ class Request:
     request_id: int = field(default_factory=lambda: next(_REQUEST_COUNTER))
     service: str = "default"
     slo_scale: float = 1.0
-    predicted_type: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.input_tokens <= 0:

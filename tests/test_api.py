@@ -20,12 +20,7 @@ from repro.api import (
     sweep,
 )
 from repro.api.observers import Observer
-from repro.experiments.runner import (
-    ExperimentConfig,
-    reset_deprecation_warnings,
-    run_all_policies,
-    run_policy_on_trace,
-)
+from repro.experiments.runner import ExperimentConfig
 from repro.policies import DYNAMO_LLM, SINGLE_POOL
 from repro.workload.slo import SLOPolicy
 
@@ -164,15 +159,6 @@ def api_config(profile):
 
 
 class TestEngineEquivalence:
-    def test_engine_matches_legacy_shim_byte_for_byte(self, api_config):
-        """Shim and direct engine agree on every field (10-min fixed-seed trace)."""
-        trace = TraceSpec(rate_scale=6.0, duration_s=600.0, seed=7).build()
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            legacy = run_policy_on_trace(DYNAMO_LLM, trace, api_config)
-        engine = SimulationEngine(DYNAMO_LLM, trace, api_config)
-        assert _summary_fields(engine.run()) == _summary_fields(legacy)
-
     def test_lean_mode_matches_summary_metrics(self, api_trace, api_config):
         full = SimulationEngine(DYNAMO_LLM, api_trace, api_config).run()
         lean = SimulationEngine(DYNAMO_LLM, api_trace, api_config, lean=True).run()
@@ -253,31 +239,28 @@ class TestExecutor:
             base_config=api_config,
         )
         serial = run_grid(grid, lean=True)
-        procs = run_grid(grid, workers=2, lean=True, mode="process")
+        procs = run_grid(grid, workers=2, lean=True)
         for key in serial:
             assert _summary_fields(serial[key]) == _summary_fields(procs[key])
 
-    def test_unknown_mode_rejected(self, api_trace, api_config):
-        grid = sweep(policies=("SinglePool",), traces=(api_trace,), base_config=api_config)
-        with pytest.raises(ValueError, match="unknown executor mode"):
-            run_grid(grid, workers=2, mode="fibers")
-
-    def test_thread_workers_do_not_share_request_objects(self, api_trace, api_config):
-        """Concurrent engines must not race on request.predicted_type."""
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_runs_leave_the_callers_trace_unchanged(
+        self, api_trace, api_config, workers
+    ):
+        """Jobs share the caller's requests, so no run may write to them."""
         scenarios = [
             Scenario(
-                policy="DynamoLLM",
+                policy=policy,
                 trace=api_trace,
                 predictor_accuracy=accuracy,
                 base_config=api_config,
             )
+            for policy in ("SinglePool", "DynamoLLM")
             for accuracy in (1.0, 0.5)
         ]
-        for request in api_trace.requests:
-            request.predicted_type = None
-        runs(scenarios, workers=2, lean=True)
-        # The callers' trace stays untouched by parallel runs.
-        assert all(r.predicted_type is None for r in api_trace.requests)
+        snapshot = [dict(vars(r)) for r in api_trace.requests]
+        runs(scenarios, workers=workers, lean=True)
+        assert [vars(r) for r in api_trace.requests] == snapshot
 
     def test_runs_preserves_input_order(self, api_trace, api_config):
         scenarios = [
@@ -295,41 +278,10 @@ class TestExecutor:
         assert summary.latency.count == len(api_trace)
 
 
-class TestDeprecationShims:
-    def test_run_policy_on_trace_warns(self, api_trace, api_config):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="run_policy_on_trace"):
-            run_policy_on_trace(SINGLE_POOL, api_trace, api_config)
-
-    def test_shims_warn_exactly_once_per_process(self, api_trace, api_config):
-        """A sweep looping over a shim must not emit one warning per call."""
-        import warnings as warnings_module
-
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="run_policy_on_trace"):
-            run_policy_on_trace(SINGLE_POOL, api_trace, api_config)
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            run_policy_on_trace(SINGLE_POOL, api_trace, api_config)
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        # ... and the two shims warn independently.
-        with pytest.warns(DeprecationWarning, match="run_all_policies"):
-            run_all_policies(api_trace, (SINGLE_POOL,), api_config)
-
-    def test_run_all_policies_warns_and_matches(self, api_trace, api_config):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="run_all_policies"):
-            legacy = run_all_policies(api_trace, (SINGLE_POOL, DYNAMO_LLM), api_config)
-        modern = run_policies(api_trace, (SINGLE_POOL, DYNAMO_LLM), api_config)
-        assert set(legacy) == set(modern)
-        for name in legacy:
-            assert _summary_fields(legacy[name]) == _summary_fields(modern[name])
-
-    def test_run_all_policies_does_not_mutate_config(self, api_trace, api_config):
+class TestRunPolicies:
+    def test_run_policies_does_not_mutate_config(self, api_trace, api_config):
         config = dataclasses.replace(api_config, static_servers=None)
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            run_all_policies(api_trace, (SINGLE_POOL,), config)
+        run_policies(api_trace, (SINGLE_POOL,), config)
         assert config.static_servers is None
 
     def test_shared_budget_applied_to_all_policies(self, api_trace, api_config):

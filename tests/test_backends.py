@@ -522,32 +522,72 @@ class TestEngineHotPath:
             lat.squashed_count,
         )
 
+    @staticmethod
+    def _scalar_admission_steps(requests, clock):
+        """Reference rule: route each request at the first step k with
+        ``arrival < clock.time_of_step(k + 1)`` (requests sorted)."""
+        steps, step = [], 0
+        for request in requests:
+            while not request.arrival_time < clock.time_of_step(step + 1):
+                step += 1
+            steps.append(step)
+        return steps
+
     @pytest.mark.parametrize("policy", ("DynamoLLM", "SinglePool"))
     def test_vectorized_matches_scalar_walk(self, policy, short_trace, experiment_config):
-        from repro.api.engine import SimulationEngine
+        import dataclasses
 
-        spec = get_policy_spec(policy)
-        fast = SimulationEngine(spec, short_trace, experiment_config, lean=True)
-        assert fast._vectorized
-        slow = SimulationEngine(
-            spec, short_trace, experiment_config, lean=True, vectorized=False
-        )
-        assert not slow._vectorized
-        assert self._fingerprint(fast.run()) == self._fingerprint(slow.run())
+        from repro.api.engine import SimulationEngine
+        from repro.api.observers import Observer
+        from repro.sim.clock import SimClock
+        from repro.workload.request import Request
+        from repro.workload.traces import Trace
+
+        class RouteLog(Observer):
+            def __init__(self):
+                self.routes = []
+
+            def on_request_routed(self, event):
+                self.routes.append((event.time, event.request.request_id))
+
+        for time_step_s in (0.1, 0.3, 1.0):
+            clock = SimClock(time_step=time_step_s)
+            # Arrivals exactly on a step boundary belong to that step.
+            on_boundary = [
+                Request(arrival_time=clock.time_of_step(k), input_tokens=100, output_tokens=10)
+                for k in (1, 7, 10, 33)
+            ]
+            trace = Trace(name="boundaries", requests=short_trace.requests + on_boundary)
+            config = dataclasses.replace(experiment_config, time_step_s=time_step_s)
+            log = RouteLog()
+            engine = SimulationEngine(
+                get_policy_spec(policy), trace, config, observers=[log], lean=True
+            )
+            while len(log.routes) < len(trace) and engine.step():
+                pass
+            steps = self._scalar_admission_steps(trace.requests, clock)
+            assert log.routes == [
+                (clock.time_of_step(step), request.request_id)
+                for step, request in zip(steps, trace.requests)
+            ], time_step_s
 
     def test_unsorted_arrivals_disable_the_vectorized_slice(
         self, short_trace, experiment_config
     ):
+        """The admission slice needs sorted arrivals; anything else is
+        rejected, naming the trace."""
         import copy
+        import re
 
         from repro.api.engine import SimulationEngine
 
         shuffled = copy.copy(short_trace)
         shuffled.requests = list(reversed(short_trace.requests))
-        engine = SimulationEngine(
-            get_policy_spec("DynamoLLM"), shuffled, experiment_config, lean=True
-        )
-        assert not engine._vectorized
+        name = re.escape(repr(short_trace.name))
+        with pytest.raises(ValueError, match=f"trace {name}: .*not sorted"):
+            SimulationEngine(
+                get_policy_spec("DynamoLLM"), shuffled, experiment_config, lean=True
+            )
 
     def test_lean_fast_path_matches_full_observers(self, short_trace, experiment_config):
         from repro.api.engine import SimulationEngine
@@ -615,7 +655,7 @@ class TestEngineHotPath:
             Scenario(policy="SinglePool", trace=tiny_trace, base_config=experiment_config),
         ]
         serial = runs(scenarios, lean=True)
-        pooled = runs(scenarios, workers=2, mode="process", lean=True)
+        pooled = runs(scenarios, workers=2, lean=True)
         assert [self._fingerprint(s) for s in serial] == [
             self._fingerprint(s) for s in pooled
         ]

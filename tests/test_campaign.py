@@ -307,6 +307,10 @@ class TestManifest:
             data = {"name": "m", "grid": {}, "execution": execution}
             with pytest.raises(ManifestError):
                 manifest_from_dict(data)
+        # workers > 1 always runs processes; there is no pool kind to pick.
+        data = {"name": "m", "grid": {}, "execution": {"mode": "process"}}
+        with pytest.raises(ManifestError, match=r"unknown execution key\(s\) \['mode'\]"):
+            manifest_from_dict(data)
 
     def test_scalars_where_lists_belong_are_named(self):
         # tuple("DynamoLLM") would otherwise become per-character noise,

@@ -244,7 +244,6 @@ class TestClusterManager:
         request = Request(arrival_time=0.0, input_tokens=600, output_tokens=200)
         pool = manager.pool_for(request)
         assert pool == "MM"
-        assert request.predicted_type == "MM"
 
     def test_overloaded_pool_spills_to_larger(self, profile):
         cluster, controller = _make_stack(profile)

@@ -15,20 +15,17 @@ Three contracts, each pinned independently:
   injection at the composition roots.  A lint rule can be appeased by
   moving an import; this test can only pass if the dependency is gone.
 
-The deprecation shims for the names that moved down to
-:mod:`repro.core.hw` are covered here too, in the style of
-``tests/test_api.py::TestDeprecationShims``.
+The shared hardware cost models in :mod:`repro.core.hw` are pinned here
+too.
 """
 
 import os
 import subprocess
 import sys
-import warnings
 
 import pytest
 
 from repro.cluster import GPUCluster, InferenceInstance
-from repro.cluster.compat import reset_deprecation_warnings
 from repro.cluster.frequency import FrequencyController
 from repro.cluster.instance import RequestState
 from repro.cluster.vm import VMProvisioner
@@ -169,66 +166,10 @@ class TestDependencyInversion:
 
 
 # ======================================================================
-# Deprecation shims for the names that moved down to repro.core.hw
+# Shared hardware cost models (repro.core.hw)
 # ======================================================================
-class TestMovedNameShims:
-    def test_frequency_constants_warn_and_match(self):
-        import repro.cluster.frequency as frequency
-
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="repro.core.hw"):
-            legacy = frequency.DEFAULT_SWITCH_OVERHEAD_S
-        assert legacy == hw.DEFAULT_SWITCH_OVERHEAD_S
-        with pytest.warns(DeprecationWarning, match="OPTIMIZED_SWITCH_OVERHEAD_S"):
-            assert (
-                frequency.OPTIMIZED_SWITCH_OVERHEAD_S
-                == hw.OPTIMIZED_SWITCH_OVERHEAD_S
-            )
-
-    def test_vm_boot_names_warn_and_match(self):
-        import repro.cluster.vm as vm
-
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="COLD_BOOT_BREAKDOWN_S"):
-            assert vm.COLD_BOOT_BREAKDOWN_S == hw.COLD_BOOT_BREAKDOWN_S
-        with pytest.warns(DeprecationWarning, match="WARM_BOOT_BREAKDOWN_S"):
-            assert vm.WARM_BOOT_BREAKDOWN_S == hw.WARM_BOOT_BREAKDOWN_S
-        with pytest.warns(DeprecationWarning, match="cold_boot_time_s"):
-            assert vm.cold_boot_time_s() == hw.cold_boot_time_s()
-        with pytest.warns(DeprecationWarning, match="warm_boot_time_s"):
-            assert vm.warm_boot_time_s() == hw.warm_boot_time_s()
-
-    def test_shims_warn_exactly_once_per_process(self):
-        import repro.cluster.frequency as frequency
-
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            frequency.DEFAULT_SWITCH_OVERHEAD_S
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            frequency.DEFAULT_SWITCH_OVERHEAD_S
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.cluster.frequency as frequency
-        import repro.cluster.vm as vm
-
-        with pytest.raises(AttributeError):
-            frequency.NOT_A_REAL_NAME
-        with pytest.raises(AttributeError):
-            vm.NOT_A_REAL_NAME
-
-    def test_canonical_home_is_unshimmed(self):
-        """Reading the hw names never warns — only the legacy paths do."""
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert hw.DEFAULT_SWITCH_OVERHEAD_S == 0.065
-            assert hw.OPTIMIZED_SWITCH_OVERHEAD_S == 0.005
-            assert hw.cold_boot_time_s() == sum(hw.COLD_BOOT_BREAKDOWN_S.values())
-            assert hw.warm_boot_time_s() == sum(hw.WARM_BOOT_BREAKDOWN_S.values())
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
+def test_hw_cost_models_are_pinned():
+    assert hw.DEFAULT_SWITCH_OVERHEAD_S == 0.065
+    assert hw.OPTIMIZED_SWITCH_OVERHEAD_S == 0.005
+    assert hw.cold_boot_time_s() == sum(hw.COLD_BOOT_BREAKDOWN_S.values())
+    assert hw.warm_boot_time_s() == sum(hw.WARM_BOOT_BREAKDOWN_S.values())
