@@ -1,16 +1,12 @@
-"""Benchmarks of the whole-program linter over the real tree.
+"""Benchmark of the whole-program linter over the real tree.
 
-Two guards back the CI wiring: the cold full-tree lint must stay
-tractable (it runs on every push), and the warm run against a populated
-cache must be at least 5x faster than the cold run — the incremental
-cache is only worth carrying if it actually short-circuits the
-per-file rule passes.
+The cold full-tree lint runs on every push, so it must stay tractable:
+one run parses every file, builds the project graph and runs every rule.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 from repro.lint.engine import iter_python_files, lint_paths
 
@@ -26,41 +22,12 @@ LINT_ROOTS = tuple(
 #: local cold run is ~2-3 s).
 COLD_BUDGET_S = 30.0
 
-#: Required warm-over-cold speedup from a populated cache.
-MIN_WARM_SPEEDUP = 5.0
 
-
-def _tree_files():
-    return list(iter_python_files(LINT_ROOTS))
-
-
-def test_cold_full_tree_lint(benchmark, tmp_path):
+def test_cold_full_tree_lint(benchmark):
     """Cold lint of the whole tree (graph build + every rule pass)."""
-    cache = str(tmp_path / "lint-cache.json")
     report = benchmark.pedantic(
-        lint_paths, args=(_tree_files(),), kwargs={"cache": cache},
+        lint_paths, args=(list(iter_python_files(LINT_ROOTS)),),
         rounds=1, iterations=1,
     )
     assert report.files_checked > 100
-    assert report.files_reused == 0
     assert benchmark.stats.stats.max <= COLD_BUDGET_S
-
-
-def test_warm_cache_speedup(benchmark, tmp_path):
-    """Warm run must reuse every file and beat the cold run by >= 5x."""
-    cache = str(tmp_path / "lint-cache.json")
-    files = _tree_files()
-
-    started = time.perf_counter()
-    cold = lint_paths(files, cache=cache)
-    cold_s = time.perf_counter() - started
-
-    warm = benchmark.pedantic(
-        lint_paths, args=(files,), kwargs={"cache": cache},
-        rounds=1, iterations=1,
-    )
-    warm_s = benchmark.stats.stats.max
-
-    assert warm.files_reused == warm.files_checked == cold.files_checked
-    assert warm.findings == cold.findings
-    assert warm_s * MIN_WARM_SPEEDUP <= cold_s, (warm_s, cold_s)

@@ -29,7 +29,6 @@ from repro.workload.classification import (
     ClassificationScheme,
     RequestType,
     equivalent_prompt_tokens,
-    type_intensity,
 )
 from repro.workload.load_predictor import TemplateLoadPredictor
 from repro.workload.predictor import OutputLengthPredictor
@@ -125,10 +124,6 @@ class ClusterManager:
     # ------------------------------------------------------------------
     # Scale-out / scale-in
     # ------------------------------------------------------------------
-    def _intensity(self, pool_name: str) -> float:
-        """Total tokens processed per prompt token for a pool's governing type."""
-        return type_intensity(self.pools[pool_name].governing_type)
-
     def node_capacity(self, pool_name: str) -> float:
         """Max load (prompt TPS) one server can carry for a pool at TP8/max f."""
         governing = self.pools[pool_name].governing_type

@@ -39,9 +39,7 @@ Six rule families (see :mod:`repro.lint.rules`):
 
 Pre-existing findings are ratcheted via ``lint_baseline.json``
 (:mod:`repro.lint.baseline`): CI fails only on *new* findings, and the
-baseline may only shrink.  Re-runs are incremental through an on-disk
-cache (:mod:`repro.lint.cache`) keyed by file content and the
-cross-file facts hash.
+baseline may only shrink.
 
 Run it with ``python -m repro lint [paths]`` (or the ``repro-lint``
 console script).  Per-line suppressions: ``# repro-lint: disable=RULE``

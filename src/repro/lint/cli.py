@@ -83,16 +83,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "stale entries for linted files) and exit 0",
     )
     parser.add_argument(
-        "--cache",
-        nargs="?",
-        const=".repro-lint-cache.json",
-        default=None,
-        metavar="FILE",
-        help="incremental cache file: unchanged files are served from "
-        "cache, keyed by (content hash, project-facts hash) "
-        "(default file: .repro-lint-cache.json)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog grouped by family (with each "
@@ -162,7 +152,6 @@ def _emit(
         document: Dict[str, object] = {
             "findings": [finding.to_dict() for finding in findings],
             "files_checked": report.files_checked,
-            "files_reused": report.files_reused,
             "suppressed": report.suppressed,
         }
         if ratchet is not None:
@@ -201,7 +190,7 @@ def _emit(
                 print(text)
     summary = (
         f"{len(findings)} finding(s) in {report.files_checked} file(s) "
-        f"({report.suppressed} suppressed, {report.files_reused} from cache"
+        f"({report.suppressed} suppressed"
     )
     if ratchet is not None:
         summary += (
@@ -227,7 +216,6 @@ def run(args: argparse.Namespace) -> int:
             args.paths,
             select=args.select,
             ignore=args.ignore,
-            cache=args.cache,
         )
     except FileNotFoundError as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)

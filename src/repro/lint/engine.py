@@ -31,11 +31,9 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (avoids a cycle)
-    from repro.lint.cache import LintCache
     from repro.lint.graph import ModuleFacts, ProjectGraph
 
 #: Finding id used for files the engine cannot parse at all.
@@ -194,8 +192,6 @@ class LintReport:
     findings: List[Finding]
     files_checked: int
     suppressed: int
-    #: Files whose findings were served from the incremental cache.
-    files_reused: int = 0
     #: The linted file paths, as given (baseline stale-checks scope to
     #: these: a baseline entry for an unlinted file is never "stale").
     paths: Tuple[str, ...] = ()
@@ -209,7 +205,6 @@ class LintReport:
             "findings": [finding.to_dict() for finding in self.findings],
             "files_checked": self.files_checked,
             "suppressed": self.suppressed,
-            "files_reused": self.files_reused,
         }
 
 
@@ -277,14 +272,6 @@ def _suppressed(finding: Finding, suppressions: Dict[int, Set[str]]) -> bool:
 # ----------------------------------------------------------------------
 # Project pre-pass
 # ----------------------------------------------------------------------
-def collect_frozen_classes(tree: ast.AST) -> Set[str]:
-    """Names of ``@dataclass(frozen=True)`` classes defined in ``tree``."""
-    frozen: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and _has_frozen_decorator(node):
-            frozen.add(node.name)
-    return frozen
-
 def _has_frozen_decorator(node: ast.ClassDef) -> bool:
     for decorator in node.decorator_list:
         if not isinstance(decorator, ast.Call):
@@ -312,9 +299,19 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
     Directories are walked recursively, skipping :data:`EXCLUDED_DIRS`
     and hidden directories; explicitly-named files are always yielded
     (that is how the fixture tests lint the deliberate violations under
-    ``tests/lint_fixtures/``).
+    ``tests/lint_fixtures/``).  A file reached twice, under whatever
+    spelling (``x.py`` and ``./x.py``, or a directory and a file in it),
+    is yielded once, as first spelled: findings carry that path.
     """
     seen: Set[str] = set()
+
+    def first_sighting(path: str) -> bool:
+        key = os.path.abspath(path)
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
+
     for path in paths:
         if os.path.isdir(path):
             for dirpath, dirnames, filenames in os.walk(path):
@@ -325,12 +322,10 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
                     and not d.endswith(".egg-info")
                 )
                 for filename in sorted(filenames):
-                    if filename.endswith(".py"):
-                        full = os.path.join(dirpath, filename)
-                        if full not in seen:
-                            seen.add(full)
-                            yield full
-        elif path not in seen:
+                    full = os.path.join(dirpath, filename)
+                    if filename.endswith(".py") and first_sighting(full):
+                        yield full
+        elif first_sighting(path):
             if not os.path.exists(path):
                 raise FileNotFoundError(
                     f"cannot lint {path!r}: no such file or directory"
@@ -341,7 +336,6 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
                     "are walked for *.py files; explicitly-passed files "
                     "must end in .py)"
                 )
-            seen.add(path)
             yield path
 
 def default_rules() -> List[Rule]:
@@ -361,9 +355,8 @@ def rule_catalog() -> Dict[str, str]:
 def _lint_tree(ctx: FileContext, rules: Sequence[Rule]) -> Tuple[List[Finding], int]:
     """Run every rule on one file: (unfiltered findings, suppressed count).
 
-    Suppressions are applied here (they are a per-file fact, so the
-    result is cacheable); ``--select``/``--ignore`` filtering happens in
-    the caller, on top of cached or fresh findings alike.
+    Suppressions are applied here (they are a per-file fact);
+    ``--select``/``--ignore`` filtering happens in the caller.
     """
     suppressions = parse_suppressions(ctx.source)
     kept: List[Finding] = []
@@ -425,36 +418,21 @@ def lint_paths(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     rules: Optional[Sequence[Rule]] = None,
-    cache: Union["LintCache", str, None] = None,
 ) -> LintReport:
-    """Lint files/directories and return the filtered, sorted report.
-
-    ``cache`` (a path or a :class:`~repro.lint.cache.LintCache`) enables
-    the incremental cache; it is ignored when a custom ``rules`` list is
-    passed, since cached findings would not reflect it.
-    """
-    from repro.lint.cache import LintCache, content_hash
-    from repro.lint.graph import (
-        ModuleFacts,
-        build_project_graph,
-        extract_module_facts,
-        facts_from_dict,
-    )
+    """Lint files/directories and return the filtered, sorted report."""
+    from repro.lint.graph import ModuleFacts, build_project_graph, extract_module_facts
 
     select = _normalise_ids(select)
     ignore = _normalise_ids(ignore)
-    custom_rules = rules is not None
     rules = list(rules) if rules is not None else default_rules()
-    store: Optional[LintCache] = None
-    if cache is not None and not custom_rules:
-        store = cache if isinstance(cache, LintCache) else LintCache(cache)
 
-    # Pass 1: read every file, reusing cached per-file facts (no parse)
-    # where the content hash matches; parse + extract the rest.
-    parsed: List[
-        Tuple[str, str, str, Optional[ast.AST], Optional[ModuleFacts], Optional[Finding]]
-    ] = []
+    # Pass 1: read, parse and extract facts for every file, once.
+    checked: List[str] = []
+    trees: List[Tuple[str, str, ast.AST]] = []
+    all_facts: List[ModuleFacts] = []
+    findings: List[Finding] = []
     for path in iter_python_files(paths):
+        checked.append(path)
         try:
             with open(path, encoding="utf-8") as handle:
                 source = handle.read()
@@ -462,128 +440,34 @@ def lint_paths(
             raise FileNotFoundError(
                 f"cannot lint {path!r}: {error.strerror or error}"
             ) from None
-        digest = content_hash(source)
-        key = os.path.abspath(path)
-        tree: Optional[ast.AST] = None
-        facts: Optional[ModuleFacts] = None
-        parse_error: Optional[Finding] = None
-        cached = store.facts_for(key, digest) if store is not None else None
-        if cached is not None:
-            facts_dict, error_dict = cached
-            if facts_dict is not None:
-                facts = dataclasses.replace(
-                    facts_from_dict(facts_dict), path=path
-                )
-            elif error_dict is not None:
-                parse_error = Finding(
-                    path=path,
-                    line=int(error_dict["line"]),  # type: ignore[arg-type]
-                    col=int(error_dict["col"]),  # type: ignore[arg-type]
-                    rule=PARSE_ERROR_ID,
-                    message=str(error_dict["message"]),
-                )
-        else:
-            try:
-                tree = ast.parse(source, filename=path)
-            except SyntaxError as error:
-                parse_error = _parse_error_finding(path, error)
-            else:
-                facts = extract_module_facts(path, tree)
-            if store is not None:
-                store.store_facts(
-                    key,
-                    digest,
-                    facts.to_dict() if facts is not None else None,
-                    {
-                        "line": parse_error.line,
-                        "col": parse_error.col,
-                        "message": parse_error.message,
-                    }
-                    if parse_error is not None
-                    else None,
-                )
-        parsed.append((path, source, digest, tree, facts, parse_error))
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as error:
+            if rule_selected(PARSE_ERROR_ID, select, ignore):
+                findings.append(_parse_error_finding(path, error))
+            continue
+        trees.append((path, source, tree))
+        all_facts.append(extract_module_facts(path, tree))
 
     # Pass 2: assemble the whole-program graph — import graph, call
-    # graph, determinism taint, layering — and the cross-file facts
-    # hash that keys the per-file results cache.
-    graph = build_project_graph(
-        [facts for *_, facts, _ in parsed if facts is not None]
-    )
+    # graph, determinism taint, layering.
     project = ProjectContext(
         frozen_classes={
-            name
-            for *_, facts, _ in parsed
-            if facts is not None
-            for name in facts.frozen_classes
+            name for facts in all_facts for name in facts.frozen_classes
         },
-        graph=graph,
+        graph=build_project_graph(all_facts),
     )
 
-    # Pass 3: per-file rule runs, served from the results cache where
-    # (content hash, facts hash) both match.
-    findings: List[Finding] = []
+    # Pass 3: every rule on each tree kept from pass 1.
     suppressed = 0
-    reused = 0
-    for path, source, digest, tree, facts, parse_error in parsed:
-        if facts is None:
-            if parse_error is not None and rule_selected(
-                PARSE_ERROR_ID, select, ignore
-            ):
-                findings.append(parse_error)
-            continue
-        key = os.path.abspath(path)
-        raw: List[Finding]
-        cached_results = (
-            store.results_for(key, digest, graph.facts_hash)
-            if store is not None
-            else None
-        )
-        if cached_results is not None:
-            raw = [
-                Finding(
-                    path=path,
-                    line=int(entry["line"]),  # type: ignore[arg-type, index, call-overload]
-                    col=int(entry["col"]),  # type: ignore[arg-type, index, call-overload]
-                    rule=str(entry["rule"]),  # type: ignore[index, call-overload]
-                    message=str(entry["message"]),  # type: ignore[index, call-overload]
-                )
-                for entry in cached_results["findings"]  # type: ignore[union-attr, index]
-            ]
-            file_suppressed = int(cached_results["suppressed"])  # type: ignore[arg-type, index, call-overload]
-            reused += 1
-        else:
-            if tree is None:
-                tree = ast.parse(source, filename=path)
-            ctx = FileContext(path, source, tree, project)
-            raw, file_suppressed = _lint_tree(ctx, rules)
-            raw.sort()
-            if store is not None:
-                store.store_results(
-                    key,
-                    digest,
-                    graph.facts_hash,
-                    [
-                        {
-                            "line": f.line,
-                            "col": f.col,
-                            "rule": f.rule,
-                            "message": f.message,
-                        }
-                        for f in raw
-                    ],
-                    file_suppressed,
-                )
+    for path, source, tree in trees:
+        ctx = FileContext(path, source, tree, project)
+        raw, file_suppressed = _lint_tree(ctx, rules)
         suppressed += file_suppressed
-        findings.extend(
-            f for f in raw if rule_selected(f.rule, select, ignore)
-        )
-    if store is not None:
-        store.save()
+        findings.extend(f for f in raw if rule_selected(f.rule, select, ignore))
     return LintReport(
         findings=sorted(findings),
-        files_checked=len(parsed),
+        files_checked=len(checked),
         suppressed=suppressed,
-        files_reused=reused,
-        paths=tuple(entry[0] for entry in parsed),
+        paths=tuple(checked),
     )

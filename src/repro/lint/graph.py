@@ -2,10 +2,10 @@
 
 PR 6's rules were per-file: each rule saw one AST and nothing else.
 This module is the *project* half of the analyzer.  For every linted
-file it extracts a serializable :class:`ModuleFacts` record (imports,
-function signatures, resolved call sites, suffixed call-assignments,
-frozen classes), then :func:`build_project_graph` assembles the records
-into a :class:`ProjectGraph`:
+file it extracts a :class:`ModuleFacts` record (imports, function
+signatures, resolved call sites, suffixed call-assignments, frozen
+classes), then :func:`build_project_graph` assembles the records into
+a :class:`ProjectGraph`:
 
 * an **import graph** between project modules (``repro.*`` stripped to
   layer-package paths like ``sim.clock``), with per-edge source
@@ -20,13 +20,7 @@ into a :class:`ProjectGraph`:
   other project functions) is tainted, with the chain retained so rule
   messages can show the full laundering path
   (``elapsed_s() -> _read_clock() -> time.time()``);
-* the declared **layer order** of the architecture;
-* a **project-facts hash** over the *cross-file-visible* projection of
-  the facts (signatures, taint chains, cycles, frozen classes, layers
-  — not line numbers).  The incremental cache keys per-file findings
-  by ``(file content hash, facts hash)``, so editing one file only
-  invalidates other files' results when something another file can
-  actually observe changed.
+* the declared **layer order** of the architecture.
 
 Facts extraction is deliberately conservative: only call targets that
 resolve through explicit imports, local definitions or ``self.`` are
@@ -39,17 +33,10 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
-import json
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.engine import _has_frozen_decorator, _relative_parts
 from repro.lint.sinks import LEGACY_NP_RANDOM, WALL_CLOCK_CALLS
-
-#: Bump when the facts schema or any graph-consuming rule changes
-#: behaviour: it flows into the facts hash, so a bump invalidates every
-#: cached finding at once.  v2: per-module ``classes`` facts (ARC004).
-GRAPH_SCHEMA_VERSION = "repro-lint-graph-v2"
 
 #: Declared architecture, lowest layer first.  A module may import
 #: sideways (same layer) or downward; importing upward is ARC001.
@@ -75,7 +62,7 @@ LAYER_NAMES: Tuple[str, ...] = tuple(name for name, _ in LAYERS)
 
 
 # ----------------------------------------------------------------------
-# Serializable facts records
+# Facts records
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class ImportEdge:
@@ -169,71 +156,6 @@ class ModuleFacts:
     #: (``GPUFleet``, ``Outer.Inner``) — the construction targets ARC004
     #: resolves calls against.
     classes: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
-
-
-def facts_from_dict(data: Dict[str, object]) -> ModuleFacts:
-    """Rebuild :class:`ModuleFacts` from its JSON form (cache loads)."""
-
-    def _names(raw: Iterable[Sequence[object]]) -> Tuple[Tuple[str, int, int], ...]:
-        return tuple((str(n), int(l), int(c)) for n, l, c in raw)
-
-    return ModuleFacts(
-        module=str(data["module"]),
-        package=str(data["package"]),
-        path=str(data["path"]),
-        is_package=bool(data["is_package"]),
-        imports=tuple(
-            ImportEdge(
-                line=int(e["line"]),
-                col=int(e["col"]),
-                target=str(e["target"]),
-                is_project=bool(e["is_project"]),
-                top_level=bool(e["top_level"]),
-                names=_names(e["names"]),
-            )
-            for e in data["imports"]  # type: ignore[union-attr,index]
-        ),
-        functions=tuple(
-            FunctionSig(
-                qualname=str(f["qualname"]),
-                params=tuple(str(p) for p in f["params"]),
-                is_method=bool(f["is_method"]),
-                line=int(f["line"]),
-            )
-            for f in data["functions"]  # type: ignore[union-attr,index]
-        ),
-        calls=tuple(
-            CallSite(
-                line=int(c["line"]),
-                col=int(c["col"]),
-                caller=None if c["caller"] is None else str(c["caller"]),
-                kind=str(c["kind"]),
-                module=str(c["module"]),
-                member=str(c["member"]),
-                dotted=str(c["dotted"]),
-                sink=str(c["sink"]),
-                pos_args=tuple(
-                    None if a is None else str(a) for a in c["pos_args"]
-                ),
-                has_star=bool(c["has_star"]),
-            )
-            for c in data["calls"]  # type: ignore[union-attr,index]
-        ),
-        suffixed_assigns=tuple(
-            SuffixedAssign(
-                line=int(s["line"]),
-                col=int(s["col"]),
-                target=str(s["target"]),
-                func=str(s["func"]),
-            )
-            for s in data["suffixed_assigns"]  # type: ignore[union-attr,index]
-        ),
-        frozen_classes=tuple(str(n) for n in data["frozen_classes"]),
-        classes=tuple(str(n) for n in data.get("classes", ())),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +264,7 @@ def _resolve_relative(package_path: str, level: int, module: Optional[str]) -> s
 
 
 def extract_module_facts(path: str, tree: ast.AST) -> ModuleFacts:
-    """Extract the serializable project facts from one parsed file."""
+    """Extract the project facts from one parsed file."""
     module, package, is_package = module_name_for(path)
     package_path = module if is_package else module.rpartition(".")[0]
 
@@ -669,50 +591,40 @@ class ProjectGraph:
         self.cycles: Dict[str, Tuple[str, ...]] = {}
         self._propagate_taint()
         self._find_cycles()
-        self.facts_hash = self._hash_cross_file_facts()
 
     # -- resolution ----------------------------------------------------
-    def resolve(self, facts: ModuleFacts, call: CallSite) -> Optional[str]:
-        """Global qualname (``module:member``) of a project call target."""
+    @staticmethod
+    def _candidates(call: CallSite) -> List[Tuple[str, str]]:
+        """Every ``(module, member)`` split of a project call target.
+
+        The recorded split comes first; then each dot of the member
+        moves into the module, so a module-attribute call recorded as
+        ``cluster`` + ``accounting.GPUFleet`` also tries
+        ``cluster.accounting`` + ``GPUFleet``.
+        """
         if call.kind != "project":
-            return None
+            return []
         candidates: List[Tuple[str, str]] = [(call.module, call.member)]
         parts = call.member.split(".")
         for cut in range(1, len(parts)):
             prefix = ".".join(parts[:cut])
             module = f"{call.module}.{prefix}" if call.module else prefix
             candidates.append((module, ".".join(parts[cut:])))
-        for module, member in candidates:
-            table = self._names.get(module)
-            if table is None or not member:
-                continue
-            qual = table.get(member)
+        return candidates
+
+    def resolve(self, call: CallSite) -> Optional[str]:
+        """Global qualname (``module:member``) of a project call target."""
+        for module, member in self._candidates(call):
+            qual = self._names.get(module, {}).get(member) if member else None
             if qual is not None:
                 return f"{module}:{qual}"
         return None
 
     def resolve_class(self, call: CallSite) -> Optional[Tuple[str, str]]:
         """``(module, class_qualname)`` when a project call constructs a
-        class defined in the project, ``None`` otherwise.
-
-        Uses the same member-path re-splitting as :meth:`resolve`:
-        ``cluster.accounting`` + ``GPUFleet`` resolves directly, while
-        ``cluster`` + ``accounting.GPUFleet`` (a module-attribute call)
-        re-splits against the known module set.
-        """
-        if call.kind != "project":
-            return None
-        candidates: List[Tuple[str, str]] = [(call.module, call.member)]
-        parts = call.member.split(".")
-        for cut in range(1, len(parts)):
-            prefix = ".".join(parts[:cut])
-            module = f"{call.module}.{prefix}" if call.module else prefix
-            candidates.append((module, ".".join(parts[cut:])))
-        for module, member in candidates:
-            table = self._classes.get(module)
-            if table is None or not member:
-                continue
-            if member in table:
+        class defined in the project, ``None`` otherwise."""
+        for module, member in self._candidates(call):
+            if member and member in self._classes.get(module, ()):
                 return module, member
         return None
 
@@ -735,7 +647,7 @@ class ProjectGraph:
                         caller, TaintInfo(sink=call.sink, via=None)
                     )
                     continue
-                callee = self.resolve(record, call)
+                callee = self.resolve(call)
                 if callee is not None:
                     edges.append((caller, callee))
         reverse: Dict[str, List[str]] = {}
@@ -789,42 +701,6 @@ class ProjectGraph:
             members = tuple(sorted(component))
             for member in members:
                 self.cycles[member] = members
-
-    # -- hashing -------------------------------------------------------
-    def _hash_cross_file_facts(self) -> str:
-        """Hash of everything one file's findings can observe about the
-        *other* files (line numbers excluded — they are per-file)."""
-        projection = {
-            "version": GRAPH_SCHEMA_VERSION,
-            "layers": LAYERS,
-            "frozen": sorted(
-                {
-                    name
-                    for record in self.modules.values()
-                    for name in record.frozen_classes
-                }
-            ),
-            "signatures": {
-                qual: [sig.params, sig.is_method]
-                for qual, sig in sorted(self._signatures.items())
-            },
-            "tainted": {
-                qual: list(self.taint_chain(qual))
-                for qual in sorted(self.tainted)
-            },
-            "cycles": {
-                module: list(members)
-                for module, members in sorted(self.cycles.items())
-            },
-            "classes": {
-                module: sorted(names)
-                for module, names in sorted(self._classes.items())
-                if names
-            },
-            "modules": sorted(self.modules),
-        }
-        payload = json.dumps(projection, sort_keys=True, default=list)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _strongly_connected(adjacency: Dict[str, List[str]]) -> List[Set[str]]:

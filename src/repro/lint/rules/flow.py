@@ -62,7 +62,7 @@ class FlowDeterminismRule(Rule):
         for call in facts.calls:
             if call.kind != "project":
                 continue
-            target = graph.resolve(facts, call)
+            target = graph.resolve(call)
             if target is None or target not in graph.tainted:
                 continue
             chain = " -> ".join(graph.taint_chain(target))
@@ -110,7 +110,7 @@ class FlowUnitsRule(Rule):
         for call in facts.calls:
             if call.kind != "project" or call.has_star or not call.pos_args:
                 continue
-            target = graph.resolve(facts, call)
+            target = graph.resolve(call)
             if target is None:
                 continue
             sig = graph.signature(target)

@@ -809,6 +809,23 @@ class TestEngineEdges:
         assert walked
         assert all(path.endswith(".py") for path in walked)
 
+    def test_file_named_two_ways_is_linted_once(self, monkeypatch):
+        monkeypatch.chdir(FIXTURE_DIR)
+        once = lint_paths(["unit_violations.py"])
+        twice = lint_paths(["unit_violations.py", "./unit_violations.py"])
+        assert once.findings
+        assert twice.files_checked == 1
+        assert twice.findings == once.findings
+
+    def test_directory_and_file_inside_it_lint_the_file_once(self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        walked = lint_paths(["tests/lint_fixtures"])
+        both = lint_paths(
+            ["tests/lint_fixtures", "./tests/lint_fixtures/unit_violations.py"]
+        )
+        assert both.files_checked == walked.files_checked
+        assert both.findings == walked.findings
+
     def test_finding_format_is_clickable(self):
         finding = Finding(path="a.py", line=3, col=7, rule="DET001", message="m")
         assert finding.format() == "a.py:3:7: DET001 m"
@@ -906,15 +923,6 @@ class TestLintCli:
         assert "file=" in det005[0] and ",line=" in det005[0]
         # Annotation properties escape colons/commas; data escapes newlines.
         assert "taint_engine.py" in det005[0]
-
-    def test_cache_flag_reuses_results(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache.json")
-        target = os.path.join(FIXTURE_DIR, "unit_violations.py")
-        first = lint_main([target, "--cache", cache])
-        second = lint_main([target, "--cache", cache])
-        assert first == second == 1
-        err = capsys.readouterr().err
-        assert "1 from cache" in err
 
     def test_baseline_flags_round_trip(self, tmp_path, capsys):
         target = os.path.join(FIXTURE_DIR, "unit_violations.py")

@@ -1,4 +1,4 @@
-"""Tests for the findings ratchet (baseline) and the incremental cache.
+"""Tests for the findings ratchet (baseline).
 
 The ratchet's contract, exercised as seeded property tests:
 
@@ -21,8 +21,7 @@ from repro.lint.baseline import (
     load_baseline,
     update_baseline,
 )
-from repro.lint.cache import CACHE_FORMAT_VERSION, LintCache, content_hash
-from repro.lint.engine import LintReport, LintUsageError, Rule, lint_paths
+from repro.lint.engine import LintReport, LintUsageError, lint_paths
 
 #: Each file carries two distinct unit violations (different messages),
 #: plus one duplicated fingerprint (same rule+message, two lines).
@@ -233,121 +232,3 @@ class TestBaselineFormat:
         )
         with pytest.raises(LintUsageError, match="count 0"):
             load_baseline(str(path))
-
-
-# ======================================================================
-# Incremental cache
-# ======================================================================
-class TestIncrementalCache:
-    def test_warm_run_reuses_every_file_and_matches(self, tmp_path):
-        paths = make_tree(tmp_path)
-        cache = str(tmp_path / "cache.json")
-        cold = lint_paths(paths, cache=cache)
-        warm = lint_paths(paths, cache=cache)
-        assert cold.files_reused == 0
-        assert warm.files_reused == len(paths)
-        assert warm.findings == cold.findings
-        assert warm.suppressed == cold.suppressed
-
-    def test_local_edit_invalidates_only_that_file(self, tmp_path):
-        """A body edit that changes nothing cross-file-visible re-lints
-        one file; the siblings stay cached."""
-        paths = make_tree(tmp_path)
-        cache = str(tmp_path / "cache.json")
-        lint_paths(paths, cache=cache)
-        (tmp_path / "mod_0.py").write_text(VIOLATION_SOURCE + "\n# comment\n")
-        warm = lint_paths(paths, cache=cache)
-        assert warm.files_reused == len(paths) - 1
-
-    def test_cross_file_visible_edit_invalidates_results_everywhere(self, tmp_path):
-        package = tmp_path / "repro" / "sim"
-        package.mkdir(parents=True)
-        helpers = package / "helpers.py"
-        engine = package / "engine.py"
-        helpers.write_text("def elapsed_s():\n    return 0.0\n")
-        engine.write_text(
-            "from repro.sim.helpers import elapsed_s\n"
-            "def step():\n    return elapsed_s()\n"
-        )
-        cache = str(tmp_path / "cache.json")
-        paths = [str(helpers), str(engine)]
-        clean = lint_paths(paths, cache=cache)
-        assert clean.findings == []
-        # Introduce a sink in helpers: engine's cached (clean) result is
-        # keyed by the old facts hash and must NOT be served.
-        helpers.write_text(
-            "import time\ndef elapsed_s():\n    return time.time()\n"
-        )
-        tainted = lint_paths(paths, cache=cache)
-        assert tainted.files_reused == 0
-        assert any(
-            f.rule == "DET005" and f.path.endswith("engine.py")
-            for f in tainted.findings
-        )
-
-    def test_select_ignore_applied_on_top_of_cache(self, tmp_path):
-        paths = make_tree(tmp_path)
-        cache = str(tmp_path / "cache.json")
-        lint_paths(paths, cache=cache)
-        filtered = lint_paths(paths, ignore=["UNT"], cache=cache)
-        assert filtered.files_reused == len(paths)
-        assert filtered.findings == []
-
-    def test_corrupt_cache_is_silently_rebuilt(self, tmp_path):
-        paths = make_tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{broken")
-        report = lint_paths(paths, cache=str(cache))
-        assert report.findings
-        assert json.loads(cache.read_text())["version"] == CACHE_FORMAT_VERSION
-
-    def test_version_mismatch_discards_cache(self, tmp_path):
-        paths = make_tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        lint_paths(paths, cache=str(cache))
-        data = json.loads(cache.read_text())
-        data["version"] = "ancient"
-        cache.write_text(json.dumps(data))
-        report = lint_paths(paths, cache=str(cache))
-        assert report.files_reused == 0
-
-    def test_custom_rules_disable_cache(self, tmp_path):
-        class Nothing(Rule):
-            family = "nothing"
-            catalog = {"ZZZ001": "never fires"}
-
-            def check(self, ctx):
-                return iter(())
-
-        paths = make_tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        report = lint_paths(paths, rules=[Nothing()], cache=str(cache))
-        assert report.findings == []
-        assert not cache.exists()
-
-    def test_unwritable_cache_path_leaves_no_temp_files(self, tmp_path):
-        """A cache path that cannot be replaced (here: a directory)
-        degrades to an uncached run and must not strand mkstemp files."""
-        paths = make_tree(tmp_path)
-        target = tmp_path / "cache-dir"
-        target.mkdir()
-        report = lint_paths(paths, cache=str(target))
-        assert report.findings
-        leftovers = [
-            name
-            for name in os.listdir(tmp_path)
-            if name.startswith(".repro-lint-cache-")
-        ]
-        assert leftovers == []
-
-    def test_content_hash_is_stable(self):
-        assert content_hash("abc") == content_hash("abc")
-        assert content_hash("abc") != content_hash("abd")
-
-    def test_cache_object_can_be_passed_directly(self, tmp_path):
-        paths = make_tree(tmp_path)
-        store = LintCache(str(tmp_path / "cache.json"))
-        lint_paths(paths, cache=store)
-        warm = lint_paths(paths, cache=store)
-        assert warm.files_reused == len(paths)
-        assert store.hits > 0

@@ -1,6 +1,5 @@
 """Tests for the whole-program layer: facts extraction, graph assembly,
-taint propagation, cycle detection, and the cross-file facts hash that
-keys the incremental cache."""
+taint propagation and cycle detection."""
 
 import ast
 import os
@@ -12,7 +11,6 @@ from repro.lint.graph import (
     ImportEdge,
     build_project_graph,
     extract_module_facts,
-    facts_from_dict,
     layer_of,
     module_name_for,
 )
@@ -133,20 +131,6 @@ class TestFactsExtraction:
             "    return Local\n",
         )
         assert facts.classes == ("Fleet", "Fleet.Inner", "Local")
-
-    def test_facts_round_trip_through_dict(self):
-        facts = facts_for(
-            "repro/sim/x.py",
-            "import time\n"
-            "from repro.sim.clock import Clock\n"
-            "class Engine:\n"
-            "    pass\n"
-            "def f(a_s, b_kw):\n"
-            "    total_wh = g_kwh()\n"
-            "    return time.time()\n",
-        )
-        assert facts.classes == ("Engine",)
-        assert facts_from_dict(facts.to_dict()) == facts
 
 
 # ======================================================================
@@ -282,65 +266,6 @@ class TestCycles:
             ("repro/sim/c.py", "x = 1\n"),
         )
         assert graph.cycles == {}
-
-
-# ======================================================================
-# Facts hash: the cross-file cache key
-# ======================================================================
-class TestFactsHash:
-    SOURCES = (
-        (
-            "repro/sim/helpers.py",
-            "import time\ndef elapsed_s():\n    return time.time()\n",
-        ),
-        (
-            "repro/sim/engine.py",
-            "from repro.sim.helpers import elapsed_s\n"
-            "def step():\n    return elapsed_s()\n",
-        ),
-    )
-
-    def test_hash_is_deterministic(self):
-        assert graph_for(*self.SOURCES).facts_hash == graph_for(*self.SOURCES).facts_hash
-
-    def test_hash_ignores_cross_file_invisible_edits(self):
-        """Editing a function body (without changing signatures, taint or
-        cycles) must not invalidate other files' cached results."""
-        edited = (
-            (
-                "repro/sim/helpers.py",
-                "import time\n\n\ndef elapsed_s():\n"
-                "    # reworded comment\n    return time.time()\n",
-            ),
-            self.SOURCES[1],
-        )
-        assert graph_for(*self.SOURCES).facts_hash == graph_for(*edited).facts_hash
-
-    def test_hash_changes_when_taint_changes(self):
-        cleaned = (
-            (
-                "repro/sim/helpers.py",
-                "def elapsed_s():\n    return 0.0\n",
-            ),
-            self.SOURCES[1],
-        )
-        assert graph_for(*self.SOURCES).facts_hash != graph_for(*cleaned).facts_hash
-
-    def test_hash_changes_when_signature_changes(self):
-        resigned = (
-            (
-                "repro/sim/helpers.py",
-                "import time\ndef elapsed_s(scale_kw):\n    return time.time()\n",
-            ),
-            self.SOURCES[1],
-        )
-        assert graph_for(*self.SOURCES).facts_hash != graph_for(*resigned).facts_hash
-
-    def test_hash_changes_when_module_set_changes(self):
-        assert (
-            graph_for(*self.SOURCES).facts_hash
-            != graph_for(self.SOURCES[0]).facts_hash
-        )
 
 
 # ======================================================================
