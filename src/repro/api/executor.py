@@ -318,7 +318,6 @@ def run_scenario(
             source,
             config,
             observers=observers,
-            lean=lean,
             # A caller-supplied trace names itself; the scenario's key
             # would mislabel it.
             trace_name=None if trace is not None else scenario.trace_key,
@@ -438,7 +437,6 @@ def _run_job(job: _Job, lean: bool) -> RunSummary:
             scenario.policy_spec(),
             job.bins,
             job.config,
-            lean=lean,
             fine_budgets=job.fine_budgets,
             trace_name=job.trace_name,
         )

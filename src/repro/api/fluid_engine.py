@@ -79,7 +79,8 @@ class FluidEngine(ObserverDispatch):
         Metric collectors to attach.  ``None`` attaches the summary
         observer set (``default_observers(lean=True)``) — the timeline
         observer needs the live controller the fluid backend does not
-        have.
+        have.  The engine has no lean mode of its own: a lean
+        ``run_scenario`` / ``run_grid`` only compacts its summary.
     static_budgets / fine_budgets:
         Optional precomputed static-server budgets (see
         :meth:`FluidRunner.run`); sweep executors pass ``fine_budgets``
@@ -92,7 +93,6 @@ class FluidEngine(ObserverDispatch):
         trace: Union[BinnedTrace, Trace, Sequence[TraceBin]],
         config=None,
         observers: Optional[Sequence[Observer]] = None,
-        lean: bool = False,
         static_budgets=None,
         fine_budgets=None,
         trace_name: Optional[str] = None,
@@ -132,9 +132,9 @@ class FluidEngine(ObserverDispatch):
         )
 
         if observers is None:
-            # lean has no effect on the default fluid set: the timeline
-            # observer is inapplicable either way, and the summary
-            # observers are already cheap (one sample per bin).
+            # The lean set is the whole default fluid set: the timeline
+            # observer is inapplicable, and the summary observers are
+            # already cheap (one sample per bin).
             observers = default_observers(slo_policy=self.config.slo_policy, lean=True)
         self.observers: List[Observer] = list(observers)
 

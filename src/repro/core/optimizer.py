@@ -13,6 +13,7 @@ per pool, fair-share load (Section IV-B).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -106,13 +107,12 @@ def plan_sharding(
         max_instances = total_gpus // tp
         if max_instances <= 0:
             continue
-        per_instance_capacity = profile.max_load(request_type, tp, frequency)
+        entry = profile.entry(request_type, tp, frequency)
+        per_instance_capacity = entry.max_load_slo
         if per_instance_capacity <= 0:
             continue
         candidate_counts: Iterable[int]
         if minimize_instances:
-            import math
-
             needed = max(1, math.ceil(load_tps / per_instance_capacity)) if load_tps > 0 else 1
             candidate_counts = range(needed, max_instances + 1)
         else:
@@ -121,7 +121,7 @@ def plan_sharding(
             per_instance_load = load_tps / count if count else 0.0
             if per_instance_load > per_instance_capacity:
                 continue
-            power = count * profile.power(request_type, tp, frequency, per_instance_load)
+            power = count * entry.power_at(per_instance_load)
             plan = ShardingPlan(
                 allocations=(
                     InstanceAllocation(

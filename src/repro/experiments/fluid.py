@@ -14,13 +14,17 @@ into a :class:`FluidResult`, and the
 :class:`~repro.api.fluid_engine.FluidEngine` adapter replays the same
 generator behind the Scenario API's stepped/observed interface
 (``Scenario(backend="fluid")``) with byte-identical accounting.
+
+What depends only on the scheme and the profile is resolved once per
+runner: the base-bucket -> pool map and each pool's governing bucket,
+TP8 node capacity and TP8 maximum frequency.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.optimizer import plan_sharding
 from repro.llm.catalog import ModelSpec, LLAMA2_70B
@@ -30,7 +34,7 @@ from repro.perf.profile import EnergyPerformanceProfile
 from repro.perf.profiler import get_default_profile
 from repro.perf.power_model import PowerModel
 from repro.policies.base import PolicySpec
-from repro.workload.classification import ClassificationScheme, DEFAULT_SCHEME, RequestType
+from repro.workload.classification import ClassificationScheme, DEFAULT_SCHEME
 from repro.workload.traces import TraceBin
 
 
@@ -62,6 +66,14 @@ class FluidStepStats:
     gpus_by_tp: Dict[int, int] = field(default_factory=dict)
     pool_frequency_mhz: Dict[str, float] = field(default_factory=dict)
     pool_gpus_by_tp: Dict[str, Dict[int, int]] = field(default_factory=dict)
+
+
+class _PoolConstants(NamedTuple):
+    """One pool's per-run constants, resolved once per runner."""
+
+    governing: str  # heaviest member bucket: the profile rows the pool reads
+    capacity: float  # TP8 max-frequency node capacity, floored at 1.0
+    max_frequency: Optional[int]  # TP8 max frequency (None: no TP8 rows)
 
 
 @dataclass
@@ -127,6 +139,18 @@ class FluidRunner:
         self.profile = profile or get_default_profile(model)
         self.server = server
         self.power_model = PowerModel(server)
+        # Per-run constants the per-bin loop reads (see the module docstring).
+        self._pool_of_type: Dict[str, str] = {
+            name: scheme.pool_name(group) for group in scheme.groups for name in group
+        }
+        self._pools: Dict[str, _PoolConstants] = {}
+        for pool in scheme.pool_names():
+            governing = scheme.heaviest_member(pool).name
+            max_frequency = max(self.profile.frequencies(governing, 8), default=None)
+            capacity = 1.0
+            if max_frequency is not None:
+                capacity = max(1.0, self.profile.max_load(governing, 8, max_frequency))
+            self._pools[pool] = _PoolConstants(governing, capacity, max_frequency)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -142,20 +166,11 @@ class FluidRunner:
             if trace_bin.total_tokens > 0
             else 0.0
         )
+        pool_of_type = self._pool_of_type
         for type_name, tokens in trace_bin.tokens_by_type.items():
-            pool = self.scheme.pool_of(RequestType.from_name(type_name))
+            pool = pool_of_type[type_name]
             loads[pool] = loads.get(pool, 0.0) + tokens * prompt_share / trace_bin.duration
         return loads
-
-    def _governing(self, pool: str) -> str:
-        return self.scheme.heaviest_member(pool).name
-
-    def _node_capacity(self, pool: str) -> float:
-        governing = self._governing(pool)
-        frequencies = self.profile.frequencies(governing, 8)
-        if not frequencies:
-            return 1.0
-        return max(1.0, self.profile.max_load(governing, 8, max(frequencies)))
 
     def static_budgets(self, bins: Sequence[TraceBin]) -> Dict[str, int]:
         """Per-pool peak-sized server budgets (the static baselines)."""
@@ -165,7 +180,7 @@ class FluidRunner:
                 peaks[pool] = max(peaks.get(pool, 0.0), load)
         budgets: Dict[str, int] = {}
         for pool, peak in peaks.items():
-            budgets[pool] = max(1, math.ceil(peak / self._node_capacity(pool)))
+            budgets[pool] = max(1, math.ceil(peak / self._pools[pool].capacity))
         return budgets
 
     # ------------------------------------------------------------------
@@ -179,12 +194,13 @@ class FluidRunner:
         static_servers: int,
     ) -> Tuple[float, int]:
         """Returns (power_watts, gpus_used) for one pool in one bin."""
-        governing = self._governing(pool)
+        governing, capacity, max_frequency = self._pools[pool]
+        if max_frequency is None:
+            raise ValueError(f"the fluid simulator needs TP8 profile rows for {governing}")
         gpus_per_server = self.server.gpus_per_server
-        max_frequency = max(self.profile.frequencies(governing, 8))
 
         if spec.scale_instances:
-            servers = max(0, math.ceil(load_tps / self._node_capacity(pool)))
+            servers = max(0, math.ceil(load_tps / capacity))
             if load_tps > 0:
                 servers = max(1, servers)
         else:

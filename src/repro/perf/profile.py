@@ -62,26 +62,8 @@ class ProfileEntry:
     ttft_s: Sequence[float]
     tbt_s: Sequence[float]
     max_load_slo: float
-    _load_grid: np.ndarray = field(
-        default_factory=lambda: np.empty(0), init=False, repr=False
-    )
-    _power_grid: np.ndarray = field(
-        default_factory=lambda: np.empty(0), init=False, repr=False
-    )
-    _energy_grid: np.ndarray = field(
-        default_factory=lambda: np.empty(0), init=False, repr=False
-    )
-    _ttft_grid: np.ndarray = field(
-        default_factory=lambda: np.empty(0), init=False, repr=False
-    )
-    _tbt_grid: np.ndarray = field(
-        default_factory=lambda: np.empty(0), init=False, repr=False
-    )
     _load_list: List[float] = field(default_factory=list, init=False, repr=False)
     _power_list: List[float] = field(default_factory=list, init=False, repr=False)
-    _energy_list: List[float] = field(default_factory=list, init=False, repr=False)
-    _ttft_list: List[float] = field(default_factory=list, init=False, repr=False)
-    _tbt_list: List[float] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         loads = np.asarray(self.loads, dtype=float)
@@ -95,16 +77,8 @@ class ProfileEntry:
         # endpoints as fill values); the lookups themselves go through
         # :func:`_interp_scalar`, which replays numpy's kernel on plain
         # floats — this sits on the controller hot path.
-        self._load_grid = loads
-        self._power_grid = np.asarray(self.power_watts, dtype=float)
-        self._energy_grid = np.asarray(self.energy_per_request_wh, dtype=float)
-        self._ttft_grid = np.asarray(self.ttft_s, dtype=float)
-        self._tbt_grid = np.asarray(self.tbt_s, dtype=float)
-        self._load_list = self._load_grid.tolist()
-        self._power_list = self._power_grid.tolist()
-        self._energy_list = self._energy_grid.tolist()
-        self._ttft_list = self._ttft_grid.tolist()
-        self._tbt_list = self._tbt_grid.tolist()
+        self._load_list = loads.tolist()
+        self._power_list = np.asarray(self.power_watts, dtype=float).tolist()
 
     @property
     def config(self) -> InstanceConfig:
@@ -117,15 +91,6 @@ class ProfileEntry:
     def power_at(self, load: float) -> float:
         """Interpolated instance power (W) at the given prompt-token load."""
         return _interp_scalar(max(0.0, load), self._load_list, self._power_list)
-
-    def energy_per_request_at(self, load: float) -> float:
-        return _interp_scalar(max(0.0, load), self._load_list, self._energy_list)
-
-    def ttft_at(self, load: float) -> float:
-        return _interp_scalar(max(0.0, load), self._load_list, self._ttft_list)
-
-    def tbt_at(self, load: float) -> float:
-        return _interp_scalar(max(0.0, load), self._load_list, self._tbt_list)
 
 
 class EnergyPerformanceProfile:
@@ -145,6 +110,9 @@ class EnergyPerformanceProfile:
         # in campaign profiles.  Cached lists are shared: callers must
         # treat them as read-only (all in-repo callers do).
         self._frequency_cache: Dict[Tuple[str, int], List[int]] = {}
+        # Each (type, TP)'s (frequency, entry) pairs in ascending
+        # frequency, for best_frequency; invalidated with the above.
+        self._entries_by_config: Dict[Tuple[str, int], List[Tuple[int, ProfileEntry]]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -153,6 +121,7 @@ class EnergyPerformanceProfile:
         key = (entry.request_type, entry.tensor_parallelism, entry.frequency_mhz)
         self._entries[key] = entry
         self._frequency_cache.clear()
+        self._entries_by_config.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -180,9 +149,6 @@ class EnergyPerformanceProfile:
     def request_types(self) -> List[str]:
         return sorted({key[0] for key in self._entries})
 
-    def tensor_parallelisms(self, request_type: str) -> List[int]:
-        return sorted({key[1] for key in self._entries if key[0] == request_type})
-
     def frequencies(self, request_type: str, tensor_parallelism: int) -> List[int]:
         cache_key = (request_type, tensor_parallelism)
         cached = self._frequency_cache.get(cache_key)
@@ -196,6 +162,19 @@ class EnergyPerformanceProfile:
             )
             self._frequency_cache[cache_key] = cached
         return cached
+
+    def _sorted_entries(
+        self, request_type: str, tensor_parallelism: int
+    ) -> List[Tuple[int, ProfileEntry]]:
+        cache_key = (request_type, tensor_parallelism)
+        entries = self._entries_by_config.get(cache_key)
+        if entries is None:
+            entries = [
+                (frequency, self._entries[(request_type, tensor_parallelism, frequency)])
+                for frequency in self.frequencies(request_type, tensor_parallelism)
+            ]
+            self._entries_by_config[cache_key] = entries
+        return entries
 
     # ------------------------------------------------------------------
     # Queries used by the controllers
@@ -238,13 +217,16 @@ class EnergyPerformanceProfile:
         minimises power (equivalently energy, since the load is fixed).
         """
         if frequencies is None:
-            frequencies = self.frequencies(request_type, tensor_parallelism)
+            entries = self._sorted_entries(request_type, tensor_parallelism)
+        else:
+            entries = [
+                (frequency, self.entry(request_type, tensor_parallelism, frequency))
+                for frequency in frequencies
+                if self.has_entry(request_type, tensor_parallelism, frequency)
+            ]
         best: Optional[int] = None
         best_power = float("inf")
-        for frequency in frequencies:
-            if not self.has_entry(request_type, tensor_parallelism, frequency):
-                continue
-            entry = self.entry(request_type, tensor_parallelism, frequency)
+        for frequency, entry in entries:
             if not entry.supports(load):
                 continue
             power = entry.power_at(load)

@@ -40,8 +40,11 @@ from repro.api import (
 )
 from repro.experiments.fluid import FluidResult, FluidRunner
 from repro.experiments.runner import ExperimentConfig
+from repro.llm.catalog import LLAMA2_70B
+from repro.perf.profiler import Profiler
 from repro.policies import ALL_POLICIES, DYNAMO_LLM, SINGLE_POOL
-from repro.policies.base import get_policy_spec
+from repro.policies.base import SINGLE_POOL_SCHEME, get_policy_spec
+from repro.workload.classification import POOL_SCHEMES, RequestType
 from repro.workload.synthetic import make_week_trace
 from repro.workload.traces import TraceBin, bin_trace
 
@@ -131,6 +134,64 @@ class TestFluidRunnerEquivalence:
         assert steps == len(day_bins)
         assert engine.step() is False  # idempotent after completion
         assert engine.now == day_bins[-1].start_time + day_bins[-1].duration
+
+
+#: Every pooling scheme a fluid run can resolve to, multi-member pools included.
+FLUID_SCHEMES = (*POOL_SCHEMES.values(), SINGLE_POOL_SCHEME)
+
+
+class TestFluidPoolTables:
+    """The per-runner pool tables equal what the scheme and profile say."""
+
+    @pytest.mark.parametrize("scheme", FLUID_SCHEMES, ids=lambda s: s.name)
+    def test_pool_constants(self, scheme, profile):
+        runner = FluidRunner(scheme=scheme, profile=profile)
+        assert list(runner._pools) == scheme.pool_names()
+        for pool, constants in runner._pools.items():
+            governing = scheme.heaviest_member(pool).name
+            max_frequency = max(profile.frequencies(governing, 8))
+            assert constants.governing == governing
+            assert constants.max_frequency == max_frequency
+            assert constants.capacity == max(
+                1.0, profile.max_load(governing, 8, max_frequency)
+            )
+
+    @pytest.mark.parametrize("scheme", FLUID_SCHEMES, ids=lambda s: s.name)
+    def test_pool_loads_match_per_type_sum(self, scheme, profile):
+        order = ("LM", "SS", "ML", "SL", "MM", "LS", "SM", "LL", "MS")
+        tokens_by_type = {name: 1000 + 37 * i for i, name in enumerate(order)}
+        trace_bin = TraceBin(
+            start_time=0.0, duration=300.0, request_count=90,
+            input_tokens=4000, output_tokens=sum(tokens_by_type.values()) - 4000,
+            count_by_type={name: 10 for name in order}, tokens_by_type=tokens_by_type,
+        )
+        prompt_share = trace_bin.input_tokens / trace_bin.total_tokens
+        expected = {}
+        for name, tokens in tokens_by_type.items():
+            pool = scheme.pool_of(RequestType.from_name(name))
+            expected[pool] = expected.get(pool, 0.0) + tokens * prompt_share / trace_bin.duration
+        loads = FluidRunner(scheme=scheme, profile=profile)._pool_loads(trace_bin)
+        assert loads == expected
+        assert list(loads) == list(expected)
+
+    @pytest.mark.parametrize("scheme", FLUID_SCHEMES, ids=lambda s: s.name)
+    def test_unknown_type_name_raises(self, scheme, profile):
+        trace_bin = TraceBin(
+            start_time=0.0, duration=300.0, request_count=1,
+            input_tokens=100, output_tokens=50, tokens_by_type={"XX": 150},
+        )
+        with pytest.raises(KeyError):
+            FluidRunner(scheme=scheme, profile=profile)._pool_loads(trace_bin)
+
+    def test_profile_without_tp8_rows_fails_the_run(self, day_bins):
+        # Static sizing falls back to a unit node capacity; the per-bin
+        # power model has no TP8 frequency to start from and says so.
+        partial = Profiler(model=LLAMA2_70B).build_profile(tensor_parallelisms=(2, 4))
+        runner = FluidRunner(profile=partial)
+        assert all(constants.capacity == 1.0 for constants in runner._pools.values())
+        assert runner.static_budgets(day_bins)
+        with pytest.raises(ValueError, match="TP8"):
+            runner.run(SINGLE_POOL, day_bins)
 
 
 # ----------------------------------------------------------------------

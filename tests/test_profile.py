@@ -1,53 +1,57 @@
 """Tests for energy-performance profiles and the profiler."""
 
+import math
+
 import pytest
 
 from repro.llm.catalog import LLAMA2_70B
 from repro.llm.gpu import H100
+from repro.perf.config import TENSOR_PARALLELISMS
 from repro.perf.profile import EnergyPerformanceProfile, ProfileEntry
 from repro.perf.profiler import Profiler, get_default_profile
 
 
-class TestProfileEntry:
-    def make_entry(self, **overrides):
-        defaults = dict(
-            request_type="MM",
-            tensor_parallelism=4,
-            frequency_mhz=1200,
-            loads=[0.0, 1000.0, 2000.0],
-            power_watts=[500.0, 900.0, 1300.0],
-            energy_per_request_wh=[0.0, 0.1, 0.12],
-            ttft_s=[0.05, 0.1, 0.2],
-            tbt_s=[0.02, 0.03, 0.04],
-            max_load_slo=1800.0,
-        )
-        defaults.update(overrides)
-        return ProfileEntry(**defaults)
+def make_entry(**overrides):
+    defaults = dict(
+        request_type="MM",
+        tensor_parallelism=4,
+        frequency_mhz=1200,
+        loads=[0.0, 1000.0, 2000.0],
+        power_watts=[500.0, 900.0, 1300.0],
+        energy_per_request_wh=[0.0, 0.1, 0.12],
+        ttft_s=[0.05, 0.1, 0.2],
+        tbt_s=[0.02, 0.03, 0.04],
+        max_load_slo=1800.0,
+    )
+    defaults.update(overrides)
+    return ProfileEntry(**defaults)
 
+
+class TestProfileEntry:
     def test_interpolates_between_grid_points(self):
-        entry = self.make_entry()
+        entry = make_entry()
         assert entry.power_at(500.0) == pytest.approx(700.0)
 
     def test_clamps_outside_grid(self):
-        entry = self.make_entry()
+        entry = make_entry()
         assert entry.power_at(-10.0) == pytest.approx(500.0)
         assert entry.power_at(99999.0) == pytest.approx(1300.0)
 
     def test_supports_uses_max_load(self):
-        entry = self.make_entry()
+        entry = make_entry()
         assert entry.supports(1700.0)
         assert not entry.supports(1900.0)
 
     def test_requires_two_points(self):
         with pytest.raises(ValueError):
-            self.make_entry(loads=[0.0], power_watts=[1.0], energy_per_request_wh=[0.0], ttft_s=[0.1], tbt_s=[0.1])
+            make_entry(loads=[0.0], power_watts=[1.0], energy_per_request_wh=[0.0], ttft_s=[0.1], tbt_s=[0.1])
 
     def test_requires_increasing_loads(self):
         with pytest.raises(ValueError):
-            self.make_entry(loads=[0.0, 0.0, 1.0])
+            make_entry(loads=[0.0, 0.0, 1.0])
 
     def test_config_property(self):
-        assert self.make_entry().config.name == "TP4@1200MHz"
+        assert make_entry().config.name == "TP4@1200MHz"
 
 
 class TestEnergyPerformanceProfile:
@@ -98,6 +102,44 @@ class TestEnergyPerformanceProfile:
     def test_frequencies_listing(self, profile):
         frequencies = profile.frequencies("MM", 4)
         assert 800 in frequencies and 1980 in frequencies
+
+    def test_best_frequency_table_matches_explicit_list(self, profile):
+        """The sorted entry table picks what the per-frequency lookups pick.
+
+        Probed at zero load, mid-grid, exactly at each entry's SLO bound
+        and one float past it, and beyond the last grid point.
+        """
+        for request_type in profile.request_types():
+            for tp in TENSOR_PARALLELISMS:
+                frequencies = profile.frequencies(request_type, tp)
+                loads = {0.0}
+                for frequency in frequencies:
+                    entry = profile.entry(request_type, tp, frequency)
+                    grid = list(entry.loads)
+                    loads.update((low + high) / 2 for low, high in zip(grid, grid[1:]))
+                    loads.add(grid[-1] * 1.5)
+                    loads.add(entry.max_load_slo)
+                    loads.add(math.nextafter(entry.max_load_slo, math.inf))
+                for load in sorted(loads):
+                    assert profile.best_frequency(
+                        request_type, tp, load
+                    ) == profile.best_frequency(request_type, tp, load, frequencies), (
+                        request_type, tp, load,
+                    )
+
+    def test_add_entry_after_lookup_is_seen(self):
+        profile = EnergyPerformanceProfile("toy")
+        profile.add_entry(make_entry(frequency_mhz=1200))
+        assert profile.best_frequency("MM", 4, 500.0) == 1200
+        # A cheaper frequency added after the first lookup wins the next one.
+        profile.add_entry(make_entry(frequency_mhz=800, power_watts=[400.0, 700.0, 1000.0]))
+        assert profile.frequencies("MM", 4) == [800, 1200]
+        assert profile.best_frequency("MM", 4, 500.0) == 800
+        # Replacing an entry replaces it in the table too.
+        profile.add_entry(
+            make_entry(frequency_mhz=800, power_watts=[400.0, 700.0, 1000.0], max_load_slo=100.0)
+        )
+        assert profile.best_frequency("MM", 4, 500.0) == 1200
 
 
 class TestProfiler:
