@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.fluid import FluidRunner
+from repro.api import BinnedTrace, run_policies
 from repro.experiments.large_scale import week_bins
 from repro.policies import ALL_POLICIES
 
@@ -31,10 +31,12 @@ def main() -> None:
     parser.add_argument("--service", default="coding", choices=("conversation", "coding"))
     args = parser.parse_args()
 
-    bins = week_bins(args.service, rate_scale=args.rate_scale)
-    runner = FluidRunner()
-    results = runner.run_all(ALL_POLICIES, bins)
-    baseline_energy = results["SinglePool"].energy_wh
+    trace = BinnedTrace(
+        name=f"{args.service}-week",
+        bins=week_bins(args.service, rate_scale=args.rate_scale),
+    )
+    results = run_policies(trace, ALL_POLICIES, backend="fluid")
+    baseline_energy = results["SinglePool"].energy.total_wh
 
     print(f"== {args.service.capitalize()} service, one week ==")
     print(
@@ -44,14 +46,14 @@ def main() -> None:
     for name, result in results.items():
         print(
             f"{name:12s} {result.energy_kwh:11.1f} "
-            f"{result.energy_wh / baseline_energy:11.2f} "
+            f"{result.energy.total_wh / baseline_energy:11.2f} "
             f"{result.average_servers:12.1f} {result.reconfigurations:10d}"
         )
 
     dynamo = results["DynamoLLM"]
     print(
         f"\nDynamoLLM weekly saving vs SinglePool: "
-        f"{1.0 - dynamo.energy_wh / baseline_energy:.0%}"
+        f"{1.0 - dynamo.energy.total_wh / baseline_energy:.0%}"
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 
 from repro import CarbonIntensityTrace, CostModel
-from repro.experiments.fluid import FluidRunner
+from repro.api import BinnedTrace, run_policies
 from repro.experiments.large_scale import week_bins
 from repro.policies import DYNAMO_LLM, SINGLE_POOL
 from repro.workload.synthetic import SECONDS_PER_DAY
@@ -36,9 +36,9 @@ def main() -> None:
     bins = week_bins(args.service, rate_scale=args.rate_scale, bin_seconds=300.0)
     day_bins = [b for b in bins if SECONDS_PER_DAY <= b.start_time < 2 * SECONDS_PER_DAY]
 
-    runner = FluidRunner()
-    baseline = runner.run(SINGLE_POOL, day_bins)
-    dynamo = runner.run(DYNAMO_LLM, day_bins)
+    trace = BinnedTrace(name=f"{args.service}-day2", bins=day_bins)
+    results = run_policies(trace, (SINGLE_POOL, DYNAMO_LLM), backend="fluid")
+    baseline, dynamo = results["SinglePool"], results["DynamoLLM"]
 
     print(f"== {args.service} service, one day ==")
     print(f"{'policy':12s} {'energy kWh':>11s} {'avg servers':>12s} {'GPU hours':>10s}")
@@ -47,7 +47,7 @@ def main() -> None:
             f"{result.policy:12s} {result.energy_kwh:11.1f} "
             f"{result.average_servers:12.1f} {result.gpu_hours:10.1f}"
         )
-    saving = 1.0 - dynamo.energy_wh / baseline.energy_wh
+    saving = 1.0 - dynamo.energy.total_wh / baseline.energy.total_wh
     print(f"\nDaily energy saving: {saving:.0%}")
 
     intensity = CarbonIntensityTrace()
@@ -72,8 +72,8 @@ def main() -> None:
     print("\nFirst hours of the 5-minute energy series (kWh per bin):")
     for (time, base_kwh), (_, dyn_kwh) in list(
         zip(
-            ((t, wh / 1000.0) for t, wh in baseline.energy_timeline_wh),
-            ((t, wh / 1000.0) for t, wh in dynamo.energy_timeline_wh),
+            ((t, wh / 1000.0) for t, wh in baseline.energy.timeline),
+            ((t, wh / 1000.0) for t, wh in dynamo.energy.timeline),
         )
     )[:12]:
         hour = (time % SECONDS_PER_DAY) / 3600.0

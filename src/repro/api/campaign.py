@@ -915,10 +915,6 @@ class CampaignRunner:
         self._grid: Optional[ScenarioGrid] = None
 
     @classmethod
-    def from_path(cls, path: str, out: Optional[str] = None) -> "CampaignRunner":
-        return cls(load_manifest(path), out=out)
-
-    @classmethod
     def from_grid(
         cls,
         name: str,

@@ -51,7 +51,9 @@ Streamed sweeps are *fault-tolerant* and *resumable*:
 
 ``run_policies`` runs several policies over one trace with a shared
 static-server budget — computed into a local copy of the config, never
-written back onto the caller's.
+written back onto the caller's — and returns the summaries in memory,
+keyed by policy name.  Streamed records carry :attr:`Scenario.key`
+only, so a resumable comparison is a grid (``run_grid(..., sink=)``).
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class SweepReport:
     failed: int
 
 
-def _check_no_stale_records(recorded: set, keys: Sequence[str], context: str = "sweep") -> None:
+def _check_no_stale_records(recorded: set, keys: Sequence[str]) -> None:
     """Refuse to resume a results file written by a different grid.
 
     ``recorded`` keys missing from the current sweep's ``keys`` mean the
@@ -107,7 +109,7 @@ def _check_no_stale_records(recorded: set, keys: Sequence[str], context: str = "
             shown += f", ... ({len(stale)} total)"
         raise ResultsMismatchError(
             f"cannot resume: the sink already records key(s) {shown} that "
-            f"this {context} does not contain, so its records belong to a "
+            "this sweep does not contain, so its records belong to a "
             "different grid — resume with the grid that wrote the file, or "
             "stream this sweep into a fresh output file"
         )
@@ -655,9 +657,7 @@ def run_policies(
     workers: Optional[int] = None,
     lean: bool = False,
     backend: str = "event",
-    sink: Optional[ResultSink] = None,
-    resume: bool = False,
-) -> Union[Dict[str, RunSummary], ResultSink]:
+) -> Dict[str, RunSummary]:
     """Run several policies on one trace with a shared static budget.
 
     The static server budget is computed once from the trace (9-pool
@@ -668,17 +668,9 @@ def run_policies(
     the budget sizing happens inside the fluid runner from the binned
     peaks instead.
 
-    Results are keyed by policy name, so duplicate
+    Results are keyed by policy name, in ``specs`` order, so duplicate
     :attr:`PolicySpec.name` entries are rejected — a silent dict
-    collapse would lose results (and with ``resume``, skip work that
-    never ran).
-
-    With ``sink`` set, summaries stream into the sink keyed by policy
-    name and the sink is returned with ``sink.report`` attached;
-    ``resume=True`` (implied by a sink constructed with ``resume=True``)
-    skips policies the sink already records successfully *for this
-    trace* — the policy-name keys do not encode the trace, so the
-    completed set is filtered by the records' ``trace`` column.
+    collapse would lose results.
     """
     from repro.experiments.runner import ExperimentConfig, recommended_static_servers
 
@@ -692,28 +684,6 @@ def run_policies(
             + ": run_policies keys results by PolicySpec.name, so duplicates "
             "would silently collide"
         )
-    if sink is None and resume:
-        raise ValueError(
-            "resume=True requires sink=; the sink's existing records "
-            "define which policies to skip"
-        )
-    skipped = 0
-    if sink is not None and (resume or sink.resume):
-        # Records are keyed by bare policy name, which does not encode
-        # the trace — filter the completed set to *this* trace so a
-        # sink file shared across sweeps cannot skip another sweep's
-        # work.  Filtering happens before the budget computation below:
-        # a fully-completed resume must not pay trace profiling.
-        recorded, done = sink.scan_keys(trace=trace.name)
-        _check_no_stale_records(
-            recorded,
-            [spec.name for spec in specs],
-            context="policy sweep (records filtered to this trace)",
-        )
-        if done:
-            kept = [spec for spec in specs if spec.name not in done]
-            skipped = len(specs) - len(kept)
-            specs = kept
     if (
         specs
         and backend == "event"
@@ -731,9 +701,5 @@ def run_policies(
         Scenario(policy=spec, trace=trace, backend=backend, base_config=config)
         for spec in specs
     ]
-    if sink is None:
-        summaries = runs(scenarios, workers=workers, lean=lean)
-        return {spec.name: summary for spec, summary in zip(specs, summaries)}
-    jobs = _prepared(scenarios)
-    _stream(jobs, [spec.name for spec in specs], workers, lean, sink, skipped=skipped)
-    return sink
+    summaries = runs(scenarios, workers=workers, lean=lean)
+    return {spec.name: summary for spec, summary in zip(specs, summaries)}

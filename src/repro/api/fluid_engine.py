@@ -14,15 +14,16 @@ returns a :class:`~repro.metrics.summary.RunSummary`.
 
 Fidelity contract
 -----------------
-The engine consumes :meth:`FluidRunner.steps` — the *same* per-bin loop
-``FluidRunner.run`` integrates — so its energy, GPU-hour, carbon and
-reconfiguration accounting is byte-for-byte identical to the
-:class:`~repro.experiments.fluid.FluidResult` of a direct run (the
-equivalence suite in ``tests/test_backends.py`` pins this).  What the
-fluid backend cannot provide is request-level telemetry: summaries carry
-no latency percentiles (``latency`` stays empty, SLO attainment reports
-1.0), no per-request outcomes and no frequency/TP timelines.  Events
-differ from the event backend accordingly:
+The engine is the only integrator of :meth:`FluidRunner.steps`, the
+per-bin loop: energy and carbon flow from each bin's stats through the
+observers, and GPU-hours, the time-weighted server mean and the
+reconfiguration count are summed here in bin order (the equivalence
+suite in ``tests/test_backends.py`` pins them against a plain sum of
+the same loop).  What the fluid backend cannot provide is request-level
+telemetry: summaries carry no latency percentiles (``latency`` stays
+empty, SLO attainment reports 1.0), no per-request outcomes and no
+frequency/TP timelines.  Events differ from the event backend
+accordingly:
 
 * ``RunStarted.policy`` and ``RunFinished.cluster`` are ``None`` — there
   is no live controller or cluster object;
@@ -35,7 +36,7 @@ differ from the event backend accordingly:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.api.observers import (
     EpochReconfigured,
@@ -46,7 +47,7 @@ from repro.api.observers import (
     StepCompleted,
     default_observers,
 )
-from repro.experiments.fluid import FluidResult, FluidRunner, FluidStepStats
+from repro.experiments.fluid import FluidRunner, FluidStepStats
 from repro.metrics.energy import EnergyAccount
 from repro.metrics.latency import LatencyStats
 from repro.metrics.power import PowerTimeSeries
@@ -54,6 +55,32 @@ from repro.metrics.summary import RunSummary
 from repro.policies.base import PolicySpec
 from repro.workload.classification import DEFAULT_SCHEME
 from repro.workload.traces import BinnedTrace, Trace, TraceBin, bin_trace
+
+
+def time_weighted_mean(timeline: Sequence[Tuple[float, float]], duration_s: float) -> float:
+    """Time-weighted mean of a ``(start, value)`` timeline.
+
+    Each sample holds until the next sample's start time (the last one
+    until ``duration_s``), so bins of unequal length — clipped trace
+    tails, variable-rate bins — are weighted by how long they actually
+    lasted rather than counted once each.
+    """
+    if not timeline:
+        return 0.0
+    weighted = 0.0
+    total = 0.0
+    for index, (start, value) in enumerate(timeline):
+        if index + 1 < len(timeline):
+            end = timeline[index + 1][0]
+        else:
+            end = max(duration_s, start)
+        span = max(0.0, end - start)
+        weighted += value * span
+        total += span
+    if total <= 0.0:
+        # Degenerate timelines (all zero-length bins): plain mean.
+        return sum(value for _, value in timeline) / len(timeline)
+    return weighted / total
 
 
 class FluidEngine(ObserverDispatch):
@@ -83,7 +110,7 @@ class FluidEngine(ObserverDispatch):
         ``run_scenario`` / ``run_grid`` only compacts its summary.
     static_budgets / fine_budgets:
         Optional precomputed static-server budgets (see
-        :meth:`FluidRunner.run`); sweep executors pass ``fine_budgets``
+        :meth:`FluidRunner.steps`); sweep executors pass ``fine_budgets``
         so grid members sharing a trace size the baseline cluster once.
     """
 
@@ -108,8 +135,8 @@ class FluidEngine(ObserverDispatch):
             raise ValueError(
                 "static_servers is event-backend configuration; the fluid "
                 "backend provisions per-pool budgets from the binned trace "
-                "peaks — pass static_budgets= to FluidEngine/FluidRunner to "
-                "pin them explicitly"
+                "peaks — pass static_budgets= to FluidEngine to pin them "
+                "explicitly"
             )
 
         if isinstance(trace, BinnedTrace):
@@ -138,12 +165,11 @@ class FluidEngine(ObserverDispatch):
             observers = default_observers(slo_policy=self.config.slo_policy, lean=True)
         self.observers: List[Observer] = list(observers)
 
-        # Stepping state / run accounting (mirrors FluidRunner.run).
+        # Stepping state and the run accounting the observers do not
+        # carry (energy flows through them).
         self.now = 0.0
-        self._energy_wh = 0.0
         self._gpu_seconds = 0.0
-        self._energy_timeline = []
-        self._servers_timeline = []
+        self._servers_timeline: List[Tuple[float, float]] = []
         self._reconfigurations = 0
         self._started = False
         self._finished = False
@@ -186,10 +212,7 @@ class FluidEngine(ObserverDispatch):
             self._finished = True
             return False
 
-        # Accumulate exactly as FluidRunner.run does (same order).
-        self._energy_wh += stats.energy_wh
         self._gpu_seconds += stats.online_gpus * stats.dt
-        self._energy_timeline.append((stats.time, stats.energy_wh))
         self._servers_timeline.append((stats.time, stats.online_servers))
         self._reconfigurations += len(stats.reconfigured_pools)
 
@@ -225,41 +248,24 @@ class FluidEngine(ObserverDispatch):
             )
         return self.summary()
 
-    def result(self) -> FluidResult:
-        """The run's accounting as a :class:`FluidResult`.
+    def summary(self) -> RunSummary:
+        """Assemble the RunSummary from engine state and the observers.
 
-        Field-for-field what ``FluidRunner.run`` would have returned for
-        the same policy and bins (the shared ``steps`` loop guarantees
-        it).
+        ``duration_s`` (the end of the last bin), ``gpu_hours``,
+        ``average_servers`` (time-weighted, see
+        :func:`time_weighted_mean`) and ``reconfigurations`` come from
+        the engine's accounting; everything observable flows through the
+        observers exactly as on the event backend.
         """
         if self.bins:
             last = self.bins[-1]
             duration = last.start_time + last.duration
         else:
             duration = 0.0
-        return FluidResult(
-            policy=self.spec.name,
-            duration_s=duration,
-            energy_wh=self._energy_wh,
-            gpu_hours=self._gpu_seconds / 3600.0,
-            energy_timeline_wh=list(self._energy_timeline),
-            servers_timeline=list(self._servers_timeline),
-            reconfigurations=self._reconfigurations,
-        )
-
-    def summary(self) -> RunSummary:
-        """Assemble the RunSummary from engine state and the observers.
-
-        ``gpu_hours``, ``average_servers`` (time-weighted, matching
-        :attr:`FluidResult.average_servers`) and ``reconfigurations``
-        come from the fluid accounting; everything observable flows
-        through the observers exactly as on the event backend.
-        """
-        result = self.result()
         summary = RunSummary(
             policy=self.spec.name,
             trace=self.trace_name,
-            duration_s=result.duration_s,
+            duration_s=duration,
             energy=EnergyAccount(),
             latency=LatencyStats(slo_policy=self.config.slo_policy),
             power=PowerTimeSeries(),
@@ -269,7 +275,7 @@ class FluidEngine(ObserverDispatch):
         # The fluid accounting is authoritative for the whole-run
         # aggregates: a ServerCountObserver's plain sample mean would
         # miscount uneven bins, so the time-weighted value wins.
-        summary.gpu_hours = result.gpu_hours
-        summary.average_servers = result.average_servers
-        summary.reconfigurations = result.reconfigurations
+        summary.gpu_hours = self._gpu_seconds / 3600.0
+        summary.average_servers = time_weighted_mean(self._servers_timeline, duration)
+        summary.reconfigurations = self._reconfigurations
         return summary

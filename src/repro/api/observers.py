@@ -365,13 +365,6 @@ class SLOAttainmentObserver(Observer):
             for pool, total in sorted(self.total_by_pool.items())
         }
 
-    def global_attainment(self) -> float:
-        """Overall attainment; the count-weighted mean of the pool rates."""
-        total = sum(self.total_by_pool.values())
-        if total == 0:
-            return 1.0
-        return sum(self.met_by_pool.values()) / total
-
     def contribute(self, summary: RunSummary) -> None:
         summary.pool_slo_attainment = self.attainment_by_pool()
         summary.pool_request_counts = dict(sorted(self.total_by_pool.items()))

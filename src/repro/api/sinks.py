@@ -4,8 +4,7 @@ A 1000+-scenario grid should not hold every
 :class:`~repro.metrics.summary.RunSummary` in memory until the sweep
 ends.  A :class:`ResultSink` receives each summary *as it completes*:
 the executors (:func:`repro.api.executor.runs` /
-:func:`~repro.api.executor.run_grid` /
-:func:`~repro.api.executor.run_policies`) and the CLI
+:func:`~repro.api.executor.run_grid`) and the CLI
 (``python -m repro sweep --out results.jsonl``) thread one through and
 flush results incrementally instead of accumulating them.
 
@@ -205,17 +204,11 @@ class ResultSink:
         and the scenario is retried on resume.
         """
 
-    def completed_keys(self, trace: Optional[str] = None) -> Set[str]:
-        """Scenario keys already recorded successfully (for ``resume``).
-
-        ``trace`` narrows the answer to records of that trace —
-        ``run_policies`` keys records by bare policy name, so without
-        the filter a sink reused across sweeps of *different* traces
-        would skip each other's work.
-        """
+    def completed_keys(self) -> Set[str]:
+        """Scenario keys already recorded successfully (for ``resume``)."""
         return set()
 
-    def recorded_keys(self, trace: Optional[str] = None) -> Set[str]:
+    def recorded_keys(self) -> Set[str]:
         """Every scenario key with *any* record in the sink — errors too.
 
         The superset :meth:`completed_keys` draws from: error records
@@ -224,21 +217,18 @@ class ResultSink:
         executors compare this against the sweep's own keys when
         resuming, so a results file written by a different grid raises
         :class:`ResultsMismatchError` instead of silently mixing two
-        sweeps' records in one file.  ``trace`` narrows to records of
-        that trace, like :meth:`completed_keys` (error records carry no
-        trace column, so the filter excludes them — they cannot be
-        attributed to a trace).
+        sweeps' records in one file.
         """
-        return self.completed_keys(trace=trace)
+        return self.completed_keys()
 
-    def scan_keys(self, trace: Optional[str] = None):
+    def scan_keys(self):
         """``(recorded, completed)`` key sets in one scan.
 
         What the executors' resume path calls: file sinks derive both
         sets from a single read of the results file instead of parsing
         it once per set.
         """
-        return self.recorded_keys(trace), self.completed_keys(trace)
+        return self.recorded_keys(), self.completed_keys()
 
     def close(self) -> None:  # pragma: no cover - hook
         """Called once after the last result (also on error)."""
@@ -264,17 +254,11 @@ class InMemorySink(ResultSink):
     def write_error(self, key: str, error: BaseException) -> None:
         self.errors[key] = error
 
-    def completed_keys(self, trace: Optional[str] = None) -> Set[str]:
-        if trace is None:
-            return set(self.results)
-        return {
-            key for key, summary in self.results.items() if summary.trace == trace
-        }
+    def completed_keys(self) -> Set[str]:
+        return set(self.results)
 
-    def recorded_keys(self, trace: Optional[str] = None) -> Set[str]:
-        if trace is None:
-            return set(self.results) | set(self.errors)
-        return self.completed_keys(trace=trace)
+    def recorded_keys(self) -> Set[str]:
+        return set(self.results) | set(self.errors)
 
     def __len__(self) -> int:
         return len(self.results)
@@ -303,29 +287,29 @@ class _FileSink(ResultSink):
         self._handle: Optional[IO[str]] = None
         self._seeded = False
 
-    def completed_keys(self, trace: Optional[str] = None) -> Set[str]:
+    def completed_keys(self) -> Set[str]:
         # Seed (and so repair a torn tail) *before* reading: a torn CSV
         # row can look complete to the reader while the repair is about
         # to truncate it — counting it as done would skip its scenario
         # and then delete its record.
         if not self._seeded:
             self._seed_from_disk()
-        return completed_keys(self.path, trace=trace)
+        return completed_keys(self.path)
 
-    def recorded_keys(self, trace: Optional[str] = None) -> Set[str]:
+    def recorded_keys(self) -> Set[str]:
         # Same repair-before-read ordering as completed_keys.
         if not self._seeded:
             self._seed_from_disk()
-        return recorded_keys(self.path, trace=trace)
+        return recorded_keys(self.path)
 
-    def scan_keys(self, trace: Optional[str] = None):
+    def scan_keys(self):
         # One repaired read serves both key sets.
         if not self._seeded:
             self._seed_from_disk()
         records = read_records(self.path)
         return (
-            _keys_of(records, trace, completed_only=False),
-            _keys_of(records, trace, completed_only=True),
+            _keys_of(records, completed_only=False),
+            _keys_of(records, completed_only=True),
         )
 
     def open(self) -> None:
@@ -637,40 +621,31 @@ def read_records(path: str) -> List[Dict[str, object]]:
     return read_jsonl(path)
 
 
-def _keys_of(
-    records: List[Dict[str, object]],
-    trace: Optional[str],
-    completed_only: bool,
-) -> Set[str]:
+def _keys_of(records: List[Dict[str, object]], completed_only: bool) -> Set[str]:
     return {
         str(record["scenario"])
         for record in records
         if record.get("scenario") not in (None, "")
         and (not completed_only or not record.get("error"))
-        and (trace is None or record.get("trace") == trace)
     }
 
 
-def completed_keys(path: str, trace: Optional[str] = None) -> Set[str]:
+def completed_keys(path: str) -> Set[str]:
     """Scenario keys with a successful record already in ``path``.
 
     Records whose ``error`` column is non-empty do **not** count: a
-    resumed sweep retries scenarios that previously raised.  ``trace``
-    keeps only records of that trace — the resume filter for record
-    keys (policy names) that do not themselves encode the trace.
+    resumed sweep retries scenarios that previously raised.
     """
-    return _keys_of(read_records(path), trace, completed_only=True)
+    return _keys_of(read_records(path), completed_only=True)
 
 
-def recorded_keys(path: str, trace: Optional[str] = None) -> Set[str]:
+def recorded_keys(path: str) -> Set[str]:
     """Every scenario key with *any* record in ``path`` — errors included.
 
     The superset of :func:`completed_keys` the resume mismatch check
     compares against a sweep's own keys: an error record still names a
     scenario of the grid that wrote the file, so a key unknown to the
     current grid — errored or not — means the file belongs to a
-    different sweep.  With ``trace`` set, only records of that trace
-    count (error records carry no trace column and are excluded, as
-    they cannot be attributed to a trace).
+    different sweep.
     """
-    return _keys_of(read_records(path), trace, completed_only=False)
+    return _keys_of(read_records(path), completed_only=False)

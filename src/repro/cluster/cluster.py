@@ -40,12 +40,6 @@ class ClusterStepStats:
     pool_frequency_mhz: Dict[str, float] = field(default_factory=dict)
     outcomes: List[RequestOutcome] = field(default_factory=list)
 
-    @property
-    def average_gpu_power_watts(self) -> float:
-        if self.online_gpus == 0:
-            return 0.0
-        return self.power_watts / self.online_gpus
-
 
 class GPUCluster:
     """A collection of GPU servers hosting LLM inference instances."""

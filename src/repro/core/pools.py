@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
-from repro.workload.classification import ClassificationScheme, RequestType
+from repro.workload.classification import ClassificationScheme
 
 
 @dataclass
@@ -63,12 +63,3 @@ def build_pool_states(scheme: ClassificationScheme) -> Dict[str, PoolState]:
             governing_type=governing,
         )
     return pools
-
-
-def pools_ordered_by_size(scheme: ClassificationScheme) -> List[str]:
-    """Pool names from the smallest to the largest request sizes."""
-    return scheme.pools_by_size()
-
-
-def governing_type(scheme: ClassificationScheme, pool_name: str) -> RequestType:
-    return scheme.heaviest_member(pool_name)

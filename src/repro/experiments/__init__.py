@@ -15,12 +15,11 @@ from repro.experiments.runner import (
     recommended_static_servers,
     resolve_static_servers,
 )
-from repro.experiments.fluid import FluidRunner, FluidResult
+from repro.experiments.fluid import FluidRunner
 
 __all__ = [
     "ExperimentConfig",
     "recommended_static_servers",
     "resolve_static_servers",
     "FluidRunner",
-    "FluidResult",
 ]

@@ -5,15 +5,16 @@ from a discrete-time simulator driven by production traces rather than
 from the live cluster.  The fluid runner plays that role here: it walks
 a binned trace (e.g. 5-minute bins over a week), applies each policy's
 decision rules per bin using the energy-performance profile, and
-integrates power into energy, GPU-hours and carbon — without tracking
+reports each bin's power, energy and GPU allocation — without tracking
 individual requests.
 
 The per-bin loop lives in :meth:`FluidRunner.steps`, which yields one
-:class:`FluidStepStats` per bin; :meth:`FluidRunner.run` integrates it
-into a :class:`FluidResult`, and the
-:class:`~repro.api.fluid_engine.FluidEngine` adapter replays the same
-generator behind the Scenario API's stepped/observed interface
-(``Scenario(backend="fluid")``) with byte-identical accounting.
+:class:`FluidStepStats` per bin.  The
+:class:`~repro.api.fluid_engine.FluidEngine` adapter is its only
+integrator: it replays the generator behind the Scenario API's
+stepped/observed interface (``Scenario(backend="fluid")``) and sums
+energy, GPU-hours and reconfigurations into a
+:class:`~repro.metrics.summary.RunSummary`.
 
 What depends only on the scheme and the profile is resolved once per
 runner: the base-bucket -> pool map and each pool's governing bucket,
@@ -29,7 +30,6 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from repro.core.optimizer import plan_sharding
 from repro.llm.catalog import ModelSpec, LLAMA2_70B
 from repro.llm.gpu import ServerSpec, DGX_H100
-from repro.metrics.carbon import CarbonIntensityTrace, carbon_emissions_kg
 from repro.perf.profile import EnergyPerformanceProfile
 from repro.perf.profiler import get_default_profile
 from repro.perf.power_model import PowerModel
@@ -74,54 +74,6 @@ class _PoolConstants(NamedTuple):
     governing: str  # heaviest member bucket: the profile rows the pool reads
     capacity: float  # TP8 max-frequency node capacity, floored at 1.0
     max_frequency: Optional[int]  # TP8 max frequency (None: no TP8 rows)
-
-
-@dataclass
-class FluidResult:
-    """Aggregate outcome of a fluid run of one policy over a binned trace."""
-
-    policy: str
-    duration_s: float
-    energy_wh: float
-    gpu_hours: float
-    energy_timeline_wh: List[Tuple[float, float]] = field(default_factory=list)
-    servers_timeline: List[Tuple[float, float]] = field(default_factory=list)
-    reconfigurations: int = 0
-
-    @property
-    def energy_kwh(self) -> float:
-        return self.energy_wh / 1000.0
-
-    @property
-    def average_servers(self) -> float:
-        """Time-weighted mean server count over the run.
-
-        Each timeline sample holds until the next sample's start time
-        (the last one until ``duration_s``), so bins of unequal length —
-        clipped trace tails, variable-rate bins — are weighted by how
-        long they actually lasted rather than counted once each.
-        """
-        timeline = self.servers_timeline
-        if not timeline:
-            return 0.0
-        weighted = 0.0
-        total = 0.0
-        for index, (start, value) in enumerate(timeline):
-            if index + 1 < len(timeline):
-                end = timeline[index + 1][0]
-            else:
-                end = max(self.duration_s, start)
-            span = max(0.0, end - start)
-            weighted += value * span
-            total += span
-        if total <= 0.0:
-            # Degenerate timelines (all zero-length bins): plain mean.
-            return sum(value for _, value in timeline) / len(timeline)
-        return weighted / total
-
-    def carbon_kg(self, intensity: Optional[CarbonIntensityTrace] = None) -> float:
-        intensity = intensity or CarbonIntensityTrace()
-        return carbon_emissions_kg(self.energy_timeline_wh, intensity)
 
 
 class FluidRunner:
@@ -251,7 +203,7 @@ class FluidRunner:
         return power, gpu_budget
 
     # ------------------------------------------------------------------
-    # Full run
+    # The per-bin loop
     # ------------------------------------------------------------------
     def _resolve(
         self,
@@ -290,11 +242,9 @@ class FluidRunner:
     ) -> Iterator[FluidStepStats]:
         """Yield one :class:`FluidStepStats` per trace bin.
 
-        This is the single per-bin decision/integration loop: both
-        :meth:`run` and the stepped
-        :class:`~repro.api.fluid_engine.FluidEngine` adapter consume it,
-        so their energy / GPU-hour / reconfiguration accounting is
-        byte-for-byte identical (same arithmetic, same order).
+        This is the single per-bin decision loop; the stepped
+        :class:`~repro.api.fluid_engine.FluidEngine` adapter integrates
+        it into a run summary.
         """
         runner, static_budgets = self._resolve(spec, bins, static_budgets, fine_budgets)
         # Pools are summed in the scheme's order: a set's order follows the
@@ -332,44 +282,3 @@ class FluidRunner:
                 pool_gpus=pool_gpus,
                 reconfigured_pools=tuple(reconfigured),
             )
-
-    def run(
-        self,
-        spec: PolicySpec,
-        bins: Sequence[TraceBin],
-        static_budgets: Optional[Dict[str, int]] = None,
-        fine_budgets: Optional[Dict[str, int]] = None,
-    ) -> FluidResult:
-        """Run one policy over the binned trace."""
-        energy_wh = 0.0
-        gpu_seconds = 0.0
-        energy_timeline: List[Tuple[float, float]] = []
-        servers_timeline: List[Tuple[float, float]] = []
-        reconfigurations = 0
-
-        for stats in self.steps(spec, bins, static_budgets, fine_budgets):
-            energy_wh += stats.energy_wh
-            gpu_seconds += stats.online_gpus * stats.dt
-            energy_timeline.append((stats.time, stats.energy_wh))
-            servers_timeline.append((stats.time, stats.online_servers))
-            reconfigurations += len(stats.reconfigured_pools)
-
-        duration = bins[-1].start_time + bins[-1].duration if bins else 0.0
-        return FluidResult(
-            policy=spec.name,
-            duration_s=duration,
-            energy_wh=energy_wh,
-            gpu_hours=gpu_seconds / 3600.0,
-            energy_timeline_wh=energy_timeline,
-            servers_timeline=servers_timeline,
-            reconfigurations=reconfigurations,
-        )
-
-    def run_all(
-        self, specs: Sequence[PolicySpec], bins: Sequence[TraceBin]
-    ) -> Dict[str, FluidResult]:
-        """Run several policies over the same binned trace."""
-        results: Dict[str, FluidResult] = {}
-        for spec in specs:
-            results[spec.name] = self.run(spec, bins)
-        return results

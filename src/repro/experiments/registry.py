@@ -123,17 +123,17 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "week-sweep",
-            "Weekly six-system sweep via the Scenario API fluid backend (resumable with sink=/resume=)",
+            "Weekly six-system run summaries via the Scenario API fluid backend",
             large_scale.weekly_policy_summaries,
         ),
         Experiment(
             "figure15",
-            "Energy over one day: SinglePool vs DynamoLLM (fluid Scenario API, resumable)",
+            "Energy over one day: SinglePool vs DynamoLLM (fluid Scenario API)",
             large_scale.figure15_daily_energy,
         ),
         Experiment(
             "figure16",
-            "Operational carbon emissions over a week (fluid Scenario API, resumable)",
+            "Operational carbon emissions over a week (fluid Scenario API)",
             large_scale.figure16_carbon,
         ),
         Experiment(
@@ -150,23 +150,23 @@ EXPERIMENTS: Dict[str, Experiment] = {
         Experiment(
             "campaign-fig15",
             "Figure 15 comparison as a bundled campaign manifest",
-            large_scale.figure15_campaign,
+            lambda **kwargs: _run_bundled("fig15_daily", **kwargs),
         ),
         Experiment(
             "campaign-fig16",
             "Figure 16 carbon comparison as a bundled campaign manifest",
-            large_scale.figure16_campaign,
+            lambda **kwargs: _run_bundled("fig16_carbon", **kwargs),
         ),
         Experiment(
             "campaign-wide",
             "Wider-than-paper accuracy x SLO-scale sensitivity campaign (72 event scenarios)",
-            sensitivity.wide_accuracy_slo_campaign,
+            lambda **kwargs: _run_bundled("accuracy_slo_wide", **kwargs),
             heavy=True,
         ),
         Experiment(
             "campaign-sensitivity",
             "1008-scenario fluid sensitivity campaign (manifest-driven, sharded, resumable)",
-            sensitivity.sensitivity_grid_campaign,
+            lambda **kwargs: _run_bundled("sensitivity_grid", **kwargs),
         ),
     )
 }

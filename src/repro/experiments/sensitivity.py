@@ -9,10 +9,12 @@ are identical to a serial run.
 The single-dimension figures (11 and 13) run through the campaign layer
 (:meth:`repro.api.campaign.CampaignRunner.from_grid`), so they share
 its validation and execution path with the manifest-driven grids; the
-declarative counterparts — including the wider-than-paper accuracy x
-SLO-scale campaign :func:`wide_accuracy_slo_campaign` and the
-1008-scenario :mod:`~repro.experiments.manifests` ``sensitivity_grid``
-— shard, resume and pivot through ``python -m repro campaign``.
+declarative counterparts — the bundled ``fig11_accuracy``, the
+wider-than-paper accuracy x SLO-scale ``accuracy_slo_wide`` and the
+1008-scenario ``sensitivity_grid`` (:mod:`~repro.experiments.manifests`,
+registry ids ``campaign-fig11`` / ``campaign-wide`` /
+``campaign-sensitivity``) — shard, resume and pivot through
+``python -m repro campaign``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.api.campaign import CampaignRunner, ReportSpec
-from repro.api.executor import run_policies, run_scenario, runs
+from repro.api.executor import run_policies, runs
 from repro.api.scenario import Scenario, TraceSpec
 from repro.experiments.runner import ExperimentConfig
 from repro.llm.catalog import get_model
@@ -210,46 +212,6 @@ def model_catalog_energy(
     for scenario, summary in zip(scenarios, summaries):
         results.setdefault(scenario.model, {})[scenario.policy_name] = _headline_metrics(summary)
     return results
-
-
-def wide_accuracy_slo_campaign(
-    out: Optional[str] = None,
-    shard=None,
-    workers: Optional[int] = None,
-    resume: bool = True,
-):
-    """The wider-than-paper accuracy x SLO-scale sensitivity campaign.
-
-    Runs the bundled ``accuracy_slo_wide`` manifest (11 accuracies x 6
-    SLO scales + per-SLO SinglePool baselines, event backend) and
-    returns its energy-savings :class:`~repro.api.campaign.ReportTable`.
-    ``out`` keeps resumable results files; ``shard=(i, n)`` runs one
-    shard for multi-host execution and returns the campaign status.
-    """
-    from repro.experiments.manifests import run_bundled_campaign
-
-    return run_bundled_campaign(
-        "accuracy_slo_wide", out=out, shard=shard, workers=workers, resume=resume
-    )
-
-
-def sensitivity_grid_campaign(
-    out: Optional[str] = None,
-    shard=None,
-    workers: Optional[int] = None,
-    resume: bool = True,
-):
-    """The 1008-scenario fluid sensitivity campaign (bundled manifest).
-
-    Six systems x four pool schemes x three load scales x fourteen
-    seeds; the report pivots mean energy savings vs SinglePool per
-    (policy, pool-count) cell.  See :mod:`repro.experiments.manifests`.
-    """
-    from repro.experiments.manifests import run_bundled_campaign
-
-    return run_bundled_campaign(
-        "sensitivity_grid", out=out, shard=shard, workers=workers, resume=resume
-    )
 
 
 def compare_levels(results: Dict[str, Dict[str, float]], baseline: str = "SinglePool") -> Dict[str, Dict[str, float]]:

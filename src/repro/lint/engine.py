@@ -200,13 +200,6 @@ class LintReport:
     def exit_code(self) -> int:
         return 1 if self.findings else 0
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "findings": [finding.to_dict() for finding in self.findings],
-            "files_checked": self.files_checked,
-            "suppressed": self.suppressed,
-        }
-
 
 # ----------------------------------------------------------------------
 # Selection / suppression

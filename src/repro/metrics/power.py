@@ -51,9 +51,6 @@ class PowerTimeSeries:
         values = self.cluster_power()
         return float(values.mean()) if values.size else 0.0
 
-    def power_at_times(self) -> List[Tuple[float, float]]:
-        return [(time, power) for time, power, _ in self.samples]
-
     def compact(self) -> "PowerTimeSeries":
         """Store samples as a flat float array (lean transfers).
 

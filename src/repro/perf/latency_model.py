@@ -74,10 +74,6 @@ class OperatingPoint:
     utilization: float
     power_activity: float
 
-    @property
-    def total_busy(self) -> float:
-        return self.prefill_busy + self.decode_busy
-
 
 class _ConfigConstants(NamedTuple):
     """Per-(TP, frequency) quantities that depend only on the config.

@@ -67,7 +67,3 @@ class PowerModel:
     def idle_gpu_slot_power(self) -> float:
         """Power of a provisioned but unassigned GPU (plus host share)."""
         return self.gpu_idle_power() + self.host_share(1)
-
-    def server_max_power(self) -> float:
-        """Worst-case power of a fully-loaded server at maximum frequency."""
-        return self.server.max_power_watts

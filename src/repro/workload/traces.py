@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.workload.classification import REQUEST_TYPE_NAMES, classify_request
 from repro.workload.request import Request
@@ -47,12 +47,6 @@ class TraceBin:
     @property
     def requests_per_second(self) -> float:
         return self.request_count / self.duration if self.duration > 0 else 0.0
-
-    def type_fraction(self, type_name: str) -> float:
-        """Fraction of requests in this bin belonging to ``type_name``."""
-        if self.request_count == 0:
-            return 0.0
-        return self.count_by_type.get(type_name, 0) / self.request_count
 
 
 @dataclass
@@ -299,11 +293,3 @@ def load_trace_csv(path: str, name: Optional[str] = None) -> Trace:
                 )
             )
     return Trace(name=name or path, requests=requests)
-
-
-def merge_traces(name: str, traces: Sequence[Trace]) -> Trace:
-    """Merge several traces into one (requests interleaved by arrival time)."""
-    requests: List[Request] = []
-    for trace in traces:
-        requests.extend(trace.requests)
-    return Trace(name=name, requests=requests)

@@ -1,13 +1,14 @@
-"""Cross-backend equivalence suite: fluid-vs-FluidRunner, fluid-vs-event.
+"""Cross-backend equivalence suite: fluid-vs-reference, fluid-vs-event.
 
 Three contracts are pinned here:
 
 1. **Exact fluid equivalence** — ``Scenario(backend="fluid")`` (through
    ``run_scenario`` *and* the prepared/cached ``run_grid`` path) must
-   reproduce a direct ``FluidRunner.run`` byte-for-byte: energy,
+   reproduce :func:`_reference_run`, a plain sum of
+   ``FluidRunner.steps``, byte-for-byte: energy, per-bin energy,
    GPU-hours, carbon, time-weighted server average and reconfiguration
-   count.  Both consume the same ``FluidRunner.steps`` loop, so any
-   drift is a real regression.
+   count.  The engine integrates the same loop, so any drift is a real
+   regression.
 2. **Streaming == post-hoc** — the default observers' streaming totals
    (carbon / cost / SLO) must equal the post-hoc summary accounting on
    *both* backends.
@@ -21,6 +22,7 @@ Three contracts are pinned here:
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,9 +40,11 @@ from repro.api import (
     sink_for_path,
     sweep,
 )
-from repro.experiments.fluid import FluidResult, FluidRunner
+from repro.api.fluid_engine import time_weighted_mean
+from repro.experiments.fluid import FluidRunner
 from repro.experiments.runner import ExperimentConfig
 from repro.llm.catalog import LLAMA2_70B
+from repro.metrics.carbon import CarbonIntensityTrace, carbon_emissions_kg
 from repro.perf.profiler import Profiler
 from repro.policies import ALL_POLICIES, DYNAMO_LLM, SINGLE_POOL
 from repro.policies.base import SINGLE_POOL_SCHEME, get_policy_spec
@@ -59,6 +63,37 @@ EVENT_FLUID_GPU_HOURS_RTOL = 0.45
 POLICY_NAMES = ("SinglePool", "ScaleInst", "DynamoLLM")
 
 
+def _reference_run(spec, bins, **budgets):
+    """Sum ``FluidRunner.steps`` in bin order: the engine's reference.
+
+    Energy, GPU-seconds, the per-bin energy and server timelines,
+    reconfigurations and the end time, accumulated with the arithmetic
+    the fluid engine and its observers use.
+    """
+    energy_wh = 0.0
+    gpu_seconds = 0.0
+    energy_timeline = []
+    servers_timeline = []
+    reconfigurations = 0
+    for stats in FluidRunner().steps(spec, bins, **budgets):
+        energy_wh += stats.energy_wh
+        gpu_seconds += stats.online_gpus * stats.dt
+        energy_timeline.append((stats.time, stats.energy_wh))
+        servers_timeline.append((stats.time, stats.online_servers))
+        reconfigurations += len(stats.reconfigured_pools)
+    duration_s = bins[-1].start_time + bins[-1].duration if bins else 0.0
+    return SimpleNamespace(
+        energy_wh=energy_wh,
+        gpu_hours=gpu_seconds / 3600.0,
+        energy_timeline_wh=energy_timeline,
+        servers_timeline=servers_timeline,
+        reconfigurations=reconfigurations,
+        duration_s=duration_s,
+        average_servers=time_weighted_mean(servers_timeline, duration_s),
+        carbon_kg=carbon_emissions_kg(energy_timeline, CarbonIntensityTrace()),
+    )
+
+
 @pytest.fixture(scope="module")
 def day_bins():
     """One synthetic day in 30-minute bins (48 bins — fast but varied)."""
@@ -72,21 +107,22 @@ def day_trace(day_bins):
 
 
 # ----------------------------------------------------------------------
-# 1. Exact equivalence with FluidRunner
+# 1. Exact equivalence with the reference sum of FluidRunner.steps
 # ----------------------------------------------------------------------
 class TestFluidRunnerEquivalence:
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_run_scenario_matches_fluid_runner_exactly(self, policy, day_bins, day_trace):
-        direct = FluidRunner().run(get_policy_spec(policy), day_bins)
+        direct = _reference_run(get_policy_spec(policy), day_bins)
         summary = run_scenario(Scenario(policy=policy, trace=day_trace, backend="fluid"))
 
         assert summary.energy.total_wh == direct.energy_wh
-        assert summary.energy_kwh == direct.energy_kwh
+        assert summary.energy_kwh == direct.energy_wh / 1000.0
+        assert summary.energy.timeline == direct.energy_timeline_wh
         assert summary.gpu_hours == direct.gpu_hours
         assert summary.average_servers == direct.average_servers
         assert summary.reconfigurations == direct.reconfigurations
         assert summary.carbon is not None
-        assert summary.carbon.total_kg == direct.carbon_kg()
+        assert summary.carbon.total_kg == direct.carbon_kg
         assert summary.duration_s == direct.duration_s
 
     def test_grid_path_matches_fluid_runner_exactly(self, day_bins, day_trace):
@@ -94,36 +130,25 @@ class TestFluidRunnerEquivalence:
         grid = sweep(policies=POLICY_NAMES, traces=(day_trace,), backends=("fluid",))
         summaries = run_grid(grid, workers=2)
         for policy in POLICY_NAMES:
-            direct = FluidRunner().run(get_policy_spec(policy), day_bins)
+            direct = _reference_run(get_policy_spec(policy), day_bins)
             summary = summaries[f"{policy}/conversation-day/fluid"]
             assert summary.energy.total_wh == direct.energy_wh
             assert summary.gpu_hours == direct.gpu_hours
             assert summary.average_servers == direct.average_servers
             assert summary.reconfigurations == direct.reconfigurations
-            assert summary.carbon.total_kg == direct.carbon_kg()
-
-    def test_engine_result_is_the_fluid_result(self, day_bins):
-        engine = FluidEngine(DYNAMO_LLM, day_bins, ExperimentConfig())
-        engine.run()
-        via_engine = engine.result()
-        direct = FluidRunner().run(DYNAMO_LLM, day_bins)
-        assert via_engine.energy_wh == direct.energy_wh
-        assert via_engine.gpu_hours == direct.gpu_hours
-        assert via_engine.energy_timeline_wh == direct.energy_timeline_wh
-        assert via_engine.servers_timeline == direct.servers_timeline
-        assert via_engine.reconfigurations == direct.reconfigurations
+            assert summary.carbon.total_kg == direct.carbon_kg
 
     def test_pinned_budget_for_an_unknown_pool_is_rejected(self, day_bins):
         # A budget the scheme cannot place must not be dropped silently.
         with pytest.raises(KeyError, match="unknown pool"):
-            FluidRunner().run(DYNAMO_LLM, day_bins, static_budgets={"no-such-pool": 2})
+            next(FluidRunner().steps(DYNAMO_LLM, day_bins, static_budgets={"no-such-pool": 2}))
 
     def test_run_policies_fluid_backend(self, day_trace, day_bins):
         summaries = run_policies(day_trace, ALL_POLICIES, backend="fluid")
-        direct = FluidRunner().run_all(ALL_POLICIES, day_bins)
-        assert set(summaries) == set(direct)
-        for name, summary in summaries.items():
-            assert summary.energy.total_wh == direct[name].energy_wh
+        assert list(summaries) == [spec.name for spec in ALL_POLICIES]
+        for spec in ALL_POLICIES:
+            direct = _reference_run(spec, day_bins)
+            assert summaries[spec.name].energy.total_wh == direct.energy_wh
 
     def test_stepped_interface(self, day_bins):
         """step() advances one bin and reports completion correctly."""
@@ -191,7 +216,7 @@ class TestFluidPoolTables:
         assert all(constants.capacity == 1.0 for constants in runner._pools.values())
         assert runner.static_budgets(day_bins)
         with pytest.raises(ValueError, match="TP8"):
-            runner.run(SINGLE_POOL, day_bins)
+            next(runner.steps(SINGLE_POOL, day_bins))
 
 
 # ----------------------------------------------------------------------
@@ -335,8 +360,9 @@ class TestBackendSelection:
         """An explicit TraceBin sequence wins over the scenario's spec."""
         scenario = Scenario(trace=TraceSpec(kind="week"), backend="fluid")
         summary = run_scenario(scenario, trace=day_bins)
-        direct = FluidRunner().run(get_policy_spec(scenario.policy_name), day_bins)
+        direct = _reference_run(get_policy_spec(scenario.policy_name), day_bins)
         assert summary.energy.total_wh == direct.energy_wh
+        assert summary.energy.timeline == direct.energy_timeline_wh
 
     def test_static_servers_rejected_on_fluid(self, day_trace):
         """Silently ignoring a pinned event budget would corrupt comparisons."""
@@ -395,26 +421,14 @@ class TestTimeWeightedAverageServers:
         # 10 servers for 100s, then 2 servers for 900s: the plain sample
         # mean (6.0) would overweight the short burst; time-weighted is
         # (10*100 + 2*900) / 1000 = 2.8.
-        result = FluidResult(
-            policy="x",
-            duration_s=1000.0,
-            energy_wh=0.0,
-            gpu_hours=0.0,
-            servers_timeline=[(0.0, 10.0), (100.0, 2.0)],
-        )
-        assert result.average_servers == pytest.approx(2.8)
+        assert time_weighted_mean([(0.0, 10.0), (100.0, 2.0)], 1000.0) == pytest.approx(2.8)
 
     def test_uniform_timeline_matches_plain_mean(self):
         timeline = [(i * 300.0, float(v)) for i, v in enumerate((4, 6, 8, 2))]
-        result = FluidResult(
-            policy="x", duration_s=1200.0, energy_wh=0.0, gpu_hours=0.0,
-            servers_timeline=timeline,
-        )
-        assert result.average_servers == pytest.approx(5.0)
+        assert time_weighted_mean(timeline, 1200.0) == pytest.approx(5.0)
 
     def test_empty_timeline(self):
-        result = FluidResult(policy="x", duration_s=0.0, energy_wh=0.0, gpu_hours=0.0)
-        assert result.average_servers == 0.0
+        assert time_weighted_mean([], 0.0) == 0.0
 
     def test_run_over_uneven_bins(self):
         """End-to-end: a clipped trace tail (short final bin) is weighted less."""
@@ -427,16 +441,17 @@ class TestTimeWeightedAverageServers:
             output_tokens=0,
         )
         uneven = list(bins) + [short_tail]
-        result = FluidRunner().run(DYNAMO_LLM, uneven)
-        timeline = result.servers_timeline
+        scenario = Scenario(policy=DYNAMO_LLM, trace=TraceSpec(kind="week"), backend="fluid")
+        summary = run_scenario(scenario, trace=uneven)
+        timeline = _reference_run(DYNAMO_LLM, uneven).servers_timeline
         spans = [
-            (timeline[i + 1][0] if i + 1 < len(timeline) else result.duration_s) - t
+            (timeline[i + 1][0] if i + 1 < len(timeline) else summary.duration_s) - t
             for i, (t, _) in enumerate(timeline)
         ]
         expected = sum(v * s for (_, v), s in zip(timeline, spans)) / sum(spans)
-        assert result.average_servers == pytest.approx(expected)
+        assert summary.average_servers == pytest.approx(expected)
         plain_mean = sum(v for _, v in timeline) / len(timeline)
-        assert not math.isclose(result.average_servers, plain_mean)
+        assert not math.isclose(summary.average_servers, plain_mean)
 
 
 # ----------------------------------------------------------------------
@@ -483,16 +498,6 @@ class TestSinks:
         assert set(sink.results) == set(plain)
         key = next(iter(plain))
         assert sink.results[key].energy_kwh == plain[key].energy_kwh
-
-    def test_run_policies_sink_keys_by_policy(self, day_trace, tmp_path):
-        path = tmp_path / "policies.jsonl"
-        run_policies(
-            day_trace, (SINGLE_POOL, DYNAMO_LLM), backend="fluid",
-            sink=JsonlSink(str(path)),
-        )
-        assert [r["scenario"] for r in read_jsonl(str(path))] == [
-            "SinglePool", "DynamoLLM",
-        ]
 
     def test_sink_closed_on_failure(self, tmp_path):
         path = tmp_path / "fail.jsonl"

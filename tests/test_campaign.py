@@ -53,7 +53,6 @@ from repro.api import (
     read_jsonl,
     recorded_keys,
     runs,
-    run_policies,
     shard_path,
     shard_scenarios,
 )
@@ -584,25 +583,6 @@ class TestResumeMismatch:
                 resume=True,
             )
 
-    def test_run_policies_mismatch_is_trace_scoped(self, tmp_path, mini_bins):
-        from repro.policies import DYNAMO_LLM, SINGLE_POOL
-
-        path = str(tmp_path / "p.jsonl")
-        other_trace = BinnedTrace(name="other", bins=mini_bins.bins)
-        run_policies(other_trace, (SINGLE_POOL,), backend="fluid", sink=JsonlSink(path))
-        # Records of a *different* trace do not block this trace's resume.
-        sink = run_policies(
-            mini_bins, (SINGLE_POOL, DYNAMO_LLM), backend="fluid",
-            sink=JsonlSink(path), resume=True,
-        )
-        assert sink.report.ran == 2
-        # But a same-trace record of a policy outside the sweep does.
-        with pytest.raises(ResultsMismatchError, match="SinglePool"):
-            run_policies(
-                mini_bins, (DYNAMO_LLM,), backend="fluid",
-                sink=JsonlSink(path), resume=True,
-            )
-
     def test_recorded_keys_includes_errors(self, tmp_path, mini_bins):
         path = str(tmp_path / "r.jsonl")
         runs(
@@ -616,8 +596,6 @@ class TestResumeMismatch:
 
         assert completed_keys(path) == {"SinglePool/mini/fluid"}
         assert recorded_keys(path) == {"SinglePool/mini/fluid", "Exploding/mini/fluid"}
-        # With a trace filter, unattributable error records drop out.
-        assert recorded_keys(path, trace="mini") == {"SinglePool/mini/fluid"}
 
     def test_in_memory_sink_recorded_keys(self, mini_bins):
         sink = InMemorySink()
@@ -777,6 +755,30 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_CAMPAIGNS = ("fig11_accuracy", "fig15_daily", "fig16_carbon")
 
 
+def _assert_matches_golden(actual: dict, name: str) -> None:
+    with open(os.path.join(GOLDEN_DIR, f"{name}.report.json"), encoding="utf-8") as handle:
+        expected = json.load(handle)
+    # Schema-exact: identical columns, dimensions and row labels.
+    for field in ("name", "value", "compare", "baseline", "row_dims", "col_dims", "columns"):
+        assert actual[field] == expected[field], field
+    assert len(actual["rows"]) == len(expected["rows"])
+    dims = len(expected["row_dims"])
+    for actual_row, expected_row in zip(actual["rows"], expected["rows"]):
+        assert actual_row[:dims] == expected_row[:dims]
+        for position, (got, want) in enumerate(
+            zip(actual_row[dims:], expected_row[dims:])
+        ):
+            if want is None:
+                assert got is None, (expected_row, position)
+            else:
+                # Tolerant float compare: the aggregation must not
+                # drift, but float formatting may.
+                assert got == pytest.approx(want, rel=1e-6), (
+                    expected_row,
+                    position,
+                )
+
+
 class TestGoldenReports:
     @pytest.mark.parametrize("name", GOLDEN_CAMPAIGNS)
     def test_report_matches_golden(self, name):
@@ -786,28 +788,17 @@ class TestGoldenReports:
         )
         status = runner.status()
         assert status.done, f"golden results for {name} are incomplete"
-        actual = runner.report().to_dict()
-        with open(os.path.join(GOLDEN_DIR, f"{name}.report.json"), encoding="utf-8") as handle:
-            expected = json.load(handle)
-        # Schema-exact: identical columns, dimensions and row labels.
-        for field in ("name", "value", "compare", "baseline", "row_dims", "col_dims", "columns"):
-            assert actual[field] == expected[field], field
-        assert len(actual["rows"]) == len(expected["rows"])
-        dims = len(expected["row_dims"])
-        for actual_row, expected_row in zip(actual["rows"], expected["rows"]):
-            assert actual_row[:dims] == expected_row[:dims]
-            for position, (got, want) in enumerate(
-                zip(actual_row[dims:], expected_row[dims:])
-            ):
-                if want is None:
-                    assert got is None, (expected_row, position)
-                else:
-                    # Tolerant float compare: the aggregation must not
-                    # drift, but float formatting may.
-                    assert got == pytest.approx(want, rel=1e-6), (
-                        expected_row,
-                        position,
-                    )
+        _assert_matches_golden(runner.report().to_dict(), name)
+
+    @pytest.mark.parametrize(
+        "experiment, name",
+        (("campaign-fig15", "fig15_daily"), ("campaign-fig16", "fig16_carbon")),
+    )
+    def test_resimulated_report_matches_golden(self, experiment, name):
+        """The registry re-simulates the fluid campaigns to the frozen reports."""
+        from repro.experiments.registry import run_experiment
+
+        _assert_matches_golden(run_experiment(experiment).to_dict(), name)
 
     def test_golden_results_do_not_satisfy_other_manifests(self):
         # The fig15 results file describes a different grid than fig16:

@@ -18,7 +18,6 @@ from repro.experiments.cluster_eval import (
     figure10_sharding_timeline,
     normalized_energy,
 )
-from repro.experiments.fluid import FluidRunner
 from repro.experiments.overheads import (
     figure3_frequency_switch_throughput,
     format_matrix,
@@ -215,71 +214,77 @@ class TestDetailedRunner:
 
 class TestFluidRunner:
     @pytest.fixture(scope="class")
-    def day_bins(self):
-        bins = make_week_trace("conversation", seed=5, rate_scale=20.0, bin_seconds=1800.0)
-        return [b for b in bins if b.start_time < 2 * 86400.0]
+    def day_trace(self):
+        from repro.api import BinnedTrace
 
-    def test_fluid_energy_positive(self, day_bins, profile):
-        runner = FluidRunner(profile=profile)
-        result = runner.run(SINGLE_POOL, day_bins)
+        bins = make_week_trace("conversation", seed=5, rate_scale=20.0, bin_seconds=1800.0)
+        return BinnedTrace(
+            name="conversation-2days", bins=[b for b in bins if b.start_time < 2 * 86400.0]
+        )
+
+    @staticmethod
+    def run(day_trace, profile, policies):
+        return run_policies(
+            day_trace, policies, ExperimentConfig(profile=profile), backend="fluid"
+        )
+
+    def test_fluid_energy_positive(self, day_trace, profile):
+        result = self.run(day_trace, profile, (SINGLE_POOL,))["SinglePool"]
         assert result.energy_kwh > 0.0
         assert result.gpu_hours > 0.0
-        assert len(result.energy_timeline_wh) == len(day_bins)
+        assert len(result.energy.timeline) == len(day_trace.bins)
 
-    def test_fluid_dynamo_beats_baseline(self, day_bins, profile):
-        runner = FluidRunner(profile=profile)
-        results = runner.run_all((SINGLE_POOL, DYNAMO_LLM), day_bins)
-        assert results["DynamoLLM"].energy_wh < results["SinglePool"].energy_wh
+    def test_fluid_dynamo_beats_baseline(self, day_trace, profile):
+        results = self.run(day_trace, profile, (SINGLE_POOL, DYNAMO_LLM))
+        assert results["DynamoLLM"].energy.total_wh < results["SinglePool"].energy.total_wh
         assert results["DynamoLLM"].average_servers < results["SinglePool"].average_servers
 
-    def test_fluid_ordering_of_all_policies(self, day_bins, profile):
-        runner = FluidRunner(profile=profile)
-        results = runner.run_all(ALL_POLICIES, day_bins)
-        assert results["DynamoLLM"].energy_wh <= min(
-            results[name].energy_wh for name in results if name != "DynamoLLM"
+    def test_fluid_ordering_of_all_policies(self, day_trace, profile):
+        results = self.run(day_trace, profile, ALL_POLICIES)
+        energy = {name: summary.energy.total_wh for name, summary in results.items()}
+        assert energy["DynamoLLM"] <= min(
+            energy[name] for name in energy if name != "DynamoLLM"
         )
-        assert results["ScaleFreq"].energy_wh < results["MultiPool"].energy_wh
-        assert results["ScaleShard"].energy_wh < results["MultiPool"].energy_wh
+        assert energy["ScaleFreq"] < energy["MultiPool"]
+        assert energy["ScaleShard"] < energy["MultiPool"]
 
-    def test_fluid_carbon_positive(self, day_bins, profile):
-        runner = FluidRunner(profile=profile)
-        result = runner.run(DYNAMO_LLM, day_bins)
+    def test_fluid_carbon_positive(self, day_trace, profile):
+        result = self.run(day_trace, profile, (DYNAMO_LLM,))["DynamoLLM"]
         assert result.carbon_kg() > 0.0
 
 
 class TestLargeScaleApiPort:
-    """Figure-15/16 drivers on the sink-backed fluid Scenario API."""
+    """Figure-15/16 drivers on the fluid Scenario API."""
 
     RATE_SCALE = 10.0
 
     def test_figure15_matches_direct_fluid_runner(self):
+        from test_backends import _reference_run
+
         from repro.experiments.large_scale import figure15_daily_energy, week_bins
-        from repro.policies import DYNAMO_LLM, SINGLE_POOL
 
         ported = figure15_daily_energy(rate_scale=self.RATE_SCALE)
-        runner = FluidRunner()
         bins = week_bins("conversation", rate_scale=self.RATE_SCALE)
         day_bins = [b for b in bins if 86400.0 <= b.start_time < 2 * 86400.0]
         for name, spec in (("SinglePool", SINGLE_POOL), ("DynamoLLM", DYNAMO_LLM)):
-            direct = runner.run(spec, day_bins)
+            direct = _reference_run(spec, day_bins)
             assert ported[name] == [
                 (t, wh / 1000.0) for t, wh in direct.energy_timeline_wh
             ]
 
     def test_figure16_matches_direct_fluid_runner(self):
-        from repro.experiments.large_scale import figure16_carbon, week_bins
-        from repro.policies import DYNAMO_LLM, SINGLE_POOL
+        from test_backends import _reference_run
 
-        ported = figure16_carbon(rate_scale=self.RATE_SCALE)
-        runner = FluidRunner()
-        bins = week_bins("conversation", rate_scale=self.RATE_SCALE)
-        baseline = runner.run(SINGLE_POOL, bins)
-        dynamo = runner.run(DYNAMO_LLM, bins)
-        assert ported["weekly_tonnes"]["SinglePool"] == baseline.carbon_kg() / 1000.0
-        assert ported["weekly_tonnes"]["DynamoLLM"] == dynamo.carbon_kg() / 1000.0
-        assert 0.0 < ported["saving_fraction"] < 1.0
+        from repro.experiments.large_scale import figure16_carbon, week_bins
         from repro.metrics.carbon import CarbonIntensityTrace, carbon_timeline_kg_per_h
 
+        ported = figure16_carbon(rate_scale=self.RATE_SCALE)
+        bins = week_bins("conversation", rate_scale=self.RATE_SCALE)
+        baseline = _reference_run(SINGLE_POOL, bins)
+        dynamo = _reference_run(DYNAMO_LLM, bins)
+        assert ported["weekly_tonnes"]["SinglePool"] == baseline.carbon_kg / 1000.0
+        assert ported["weekly_tonnes"]["DynamoLLM"] == dynamo.carbon_kg / 1000.0
+        assert 0.0 < ported["saving_fraction"] < 1.0
         intensity = CarbonIntensityTrace()
         assert ported["timeline_kg_per_h"]["SinglePool"] == carbon_timeline_kg_per_h(
             baseline.energy_timeline_wh, intensity
@@ -288,95 +293,19 @@ class TestLargeScaleApiPort:
             dynamo.energy_timeline_wh, intensity
         )
 
-    def test_figure15_sink_path_is_resumable(self, tmp_path):
-        from repro.api import JsonlSink, read_jsonl
-        from repro.experiments.large_scale import figure15_daily_energy
+    def test_headline_claims_are_pinned(self):
+        """The abstract's three savings at the default week rate scale.
 
-        path = tmp_path / "figure15.jsonl"
-        sink = figure15_daily_energy(
-            rate_scale=self.RATE_SCALE, sink=JsonlSink(str(path))
-        )
-        assert sink.report.ran == 2
-        assert sorted(r["scenario"] for r in read_jsonl(str(path))) == [
-            "DynamoLLM", "SinglePool",
-        ]
-        rerun = figure15_daily_energy(
-            rate_scale=self.RATE_SCALE, sink=JsonlSink(str(path)), resume=True
-        )
-        assert rerun.report.skipped == 2 and rerun.report.ran == 0
-        assert len(read_jsonl(str(path))) == 2
+        Runs all three re-plumbed drivers (Figure 14, Figure 16 and the
+        cost analysis); the tolerance is perfbench's reference tolerance.
+        """
+        from repro.experiments.large_scale import headline_claims
 
-    def test_figure16_sink_path_is_resumable(self, tmp_path):
-        from repro.api import JsonlSink, read_jsonl
-        from repro.experiments.large_scale import figure16_carbon
-
-        path = tmp_path / "figure16.jsonl"
-        sink = figure16_carbon(rate_scale=self.RATE_SCALE, sink=JsonlSink(str(path)))
-        assert sink.report.ran == 2
-        rerun = figure16_carbon(
-            rate_scale=self.RATE_SCALE, sink=JsonlSink(str(path)), resume=True
-        )
-        assert rerun.report.skipped == 2
-        records = read_jsonl(str(path))
-        assert len(records) == 2 and all(r["carbon_kg"] > 0 for r in records)
-
-    def test_figure16_rejects_custom_intensity_with_sink(self, tmp_path):
-        from repro.api import JsonlSink
-        from repro.experiments.large_scale import figure16_carbon
-        from repro.metrics.carbon import CarbonIntensityTrace
-
-        with pytest.raises(ValueError, match="custom carbon intensity"):
-            figure16_carbon(
-                rate_scale=self.RATE_SCALE,
-                intensity=CarbonIntensityTrace(),
-                sink=JsonlSink(str(tmp_path / "fig16.jsonl")),
-            )
-
-    def test_weekly_policy_summaries_resume(self, tmp_path):
-        from repro.api import JsonlSink, read_jsonl
-        from repro.experiments.large_scale import weekly_policy_summaries
-        from repro.policies import DYNAMO_LLM, SINGLE_POOL
-
-        path = tmp_path / "week.jsonl"
-        weekly_policy_summaries(
-            rate_scale=self.RATE_SCALE, policies=(SINGLE_POOL,),
-            sink=JsonlSink(str(path)),
-        )
-        sink = weekly_policy_summaries(
-            rate_scale=self.RATE_SCALE, policies=(SINGLE_POOL, DYNAMO_LLM),
-            sink=JsonlSink(str(path)), resume=True,
-        )
-        assert sink.report.skipped == 1 and sink.report.ran == 1
-        assert sorted(r["scenario"] for r in read_jsonl(str(path))) == [
-            "DynamoLLM", "SinglePool",
-        ]
-
-    def test_driver_resume_identity_encodes_parameters(self, tmp_path):
-        """Rerunning a driver with different parameters against the same
-        sink must rerun, not skip: the trace name (the resume identity
-        for policy-name-keyed records) encodes rate scale and model."""
-        from repro.api import JsonlSink
-        from repro.experiments.large_scale import (
-            figure16_carbon,
-            weekly_policy_summaries,
-        )
-        from repro.policies import SINGLE_POOL
-
-        path = tmp_path / "shared.jsonl"
-        weekly_policy_summaries(
-            rate_scale=10.0, policies=(SINGLE_POOL,), sink=JsonlSink(str(path))
-        )
-        # Different rate scale: nothing to skip.
-        rerun = weekly_policy_summaries(
-            rate_scale=20.0, policies=(SINGLE_POOL,),
-            sink=JsonlSink(str(path)), resume=True,
-        )
-        assert rerun.report.skipped == 0 and rerun.report.ran == 1
-        # Different driver (other config) sharing the file: also reruns.
-        fig16 = figure16_carbon(
-            rate_scale=10.0, sink=JsonlSink(str(path)), resume=True
-        )
-        assert fig16.report.skipped == 0 and fig16.report.ran == 2
+        assert headline_claims() == {
+            "energy_saving_fraction": pytest.approx(0.771993347564089, rel=1e-9),
+            "carbon_saving_fraction": pytest.approx(0.7247077481456791, rel=1e-9),
+            "cost_saving_fraction": pytest.approx(0.7549995925734498, rel=1e-9),
+        }
 
 
 class TestModelCatalog:

@@ -41,7 +41,7 @@ from repro.api import (
     sink_for_path,
     sweep,
 )
-from repro.policies import DYNAMO_LLM, SINGLE_POOL
+from repro.policies import SINGLE_POOL
 from repro.policies.base import PolicySpec
 from repro.workload.synthetic import make_week_trace
 
@@ -332,58 +332,6 @@ class TestResume:
         run_grid(mini_grid, sink=sink)
         report = run_grid(mini_grid, sink=sink, resume=True).report
         assert report.skipped == len(mini_grid) and report.ran == 0
-
-    def test_run_policies_resume(self, mini_trace, tmp_path):
-        path = tmp_path / "policies.jsonl"
-        run_policies(mini_trace, (SINGLE_POOL,), backend="fluid",
-                     sink=JsonlSink(str(path)))
-        sink = run_policies(
-            mini_trace, (SINGLE_POOL, DYNAMO_LLM), backend="fluid",
-            sink=JsonlSink(str(path)), resume=True,
-        )
-        assert sink.report == SweepReport(total=2, skipped=1, ran=1, failed=0)
-        assert sorted(r["scenario"] for r in read_jsonl(str(path))) == [
-            "DynamoLLM", "SinglePool",
-        ]
-
-    def test_run_policies_resume_without_sink_raises(self, mini_trace):
-        with pytest.raises(ValueError, match="requires sink="):
-            run_policies(mini_trace, (SINGLE_POOL,), backend="fluid", resume=True)
-
-    def test_run_policies_resume_is_trace_aware(self, mini_trace, tmp_path):
-        """Policy-name keys do not encode the trace, so resuming a sink
-        file written for a *different* trace must rerun everything."""
-        other = BinnedTrace(name="other", bins=mini_trace.bins)
-        path = tmp_path / "shared.jsonl"
-        run_policies(other, (SINGLE_POOL, DYNAMO_LLM), backend="fluid",
-                     sink=JsonlSink(str(path)))
-        sink = run_policies(
-            mini_trace, (SINGLE_POOL, DYNAMO_LLM), backend="fluid",
-            sink=JsonlSink(str(path)), resume=True,
-        )
-        assert sink.report.skipped == 0 and sink.report.ran == 2
-        records = read_jsonl(str(path))
-        assert sorted(r["trace"] for r in records) == ["mini", "mini", "other", "other"]
-
-    def test_run_policies_resume_skips_budget_profiling(self, tmp_path, monkeypatch):
-        """A fully-completed event-backend resume must not pay the
-        static-budget trace profiling."""
-        from repro.workload.synthetic import make_one_hour_trace
-
-        trace = make_one_hour_trace("conversation", seed=9, rate_scale=3.0).slice(0.0, 60.0)
-        path = tmp_path / "budget.jsonl"
-        run_policies(trace, (SINGLE_POOL,), sink=JsonlSink(str(path)), lean=True)
-
-        from repro.experiments import runner
-
-        def explode(*args, **kwargs):
-            raise AssertionError("budget recomputed despite full resume")
-
-        monkeypatch.setattr(runner, "recommended_static_servers", explode)
-        sink = run_policies(
-            trace, (SINGLE_POOL,), sink=JsonlSink(str(path)), resume=True, lean=True
-        )
-        assert sink.report.skipped == 1 and sink.report.ran == 0
 
     def test_csv_resume_round_trip(self, mini_grid, tmp_path):
         path = tmp_path / "resume.csv"
