@@ -119,7 +119,7 @@ def test_resume_scan_overhead_guard(tmp_path):
     full = time.perf_counter() - started
 
     started = time.perf_counter()
-    sink = run_grid(grid, sink=JsonlSink(path, resume=True))
+    sink = run_grid(grid, sink=JsonlSink(path), resume=True)
     rerun = time.perf_counter() - started
     assert sink.report.skipped == len(grid) and sink.report.ran == 0
     assert len(read_jsonl(path)) == len(grid)

@@ -5,10 +5,11 @@ Runs the six evaluated systems over the synthetic week trace (the
 Figures 14-16 workload) through ``Scenario(backend="fluid")`` — a full
 week per policy in well under a second — and streams one JSON record
 per completed scenario to disk instead of accumulating summaries in
-memory.  The sink is opened with ``resume=True``, so rerunning the
-script (or restarting it after an interruption) skips the scenarios
-already recorded and appends only the missing ones.  The same sweep is
-available from the command line::
+memory.  The sweep runs with ``resume=True``, so rerunning the script
+(or restarting it after an interruption) skips the scenarios already
+recorded and appends only the missing ones; a file written by a sweep
+with other parameters is refused with ``ResultsMismatchError``.  The
+same sweep is available from the command line::
 
     python -m repro sweep --backend fluid --trace week --rate-scale 40 \
         --policies SinglePool,MultiPool,ScaleInst,ScaleShard,ScaleFreq,DynamoLLM \
@@ -42,23 +43,19 @@ def main() -> None:
         backends=("fluid",),
     )
     # resume=True makes the sweep restartable: records already in the
-    # file are kept (file sinks never truncate) and their scenarios are
+    # file are kept (the sink never truncates) and their scenarios are
     # skipped, so interrupting and rerunning costs only the missing runs.
-    sink = run_grid(grid, workers=args.workers, sink=JsonlSink(args.out, resume=True))
+    sink = run_grid(grid, workers=args.workers, sink=JsonlSink(args.out), resume=True)
     print(
         f"{sink.report.ran} ran, {sink.report.skipped} skipped, "
         f"{sink.report.failed} failed"
     )
 
-    # The file may hold more than this sweep: error records carry only
-    # {scenario, error}, and earlier runs with other parameters (a
-    # different --rate-scale/--service) left their own records behind —
-    # keep exactly the current grid's summaries for the table.
-    keys = set(grid.keys())
-    records = [
-        r for r in read_jsonl(args.out)
-        if not r.get("error") and r.get("scenario") in keys
-    ]
+    # Resume refused any file holding another grid's records, so every
+    # record here belongs to this grid.  Error records carry only
+    # {scenario, error} (a retried failure leaves its stale error record
+    # before the fresh one): keep the successful summaries for the table.
+    records = [r for r in read_jsonl(args.out) if not r.get("error")]
     baseline = next(r for r in records if r["policy"] == "SinglePool")
     header = f"{'policy':12s} {'energy kWh':>11s} {'vs base':>8s} {'GPU-hours':>10s} {'kgCO2':>8s} {'reconf':>7s}"
     print(header)

@@ -8,8 +8,8 @@ Subcommands:
   milliseconds; no latency percentiles).
 * ``sweep`` — expand a scenario grid over policies x trace x SLO scales
   x predictor accuracies x pool counts and run it, optionally in
-  parallel (``--workers``).  ``--out results.jsonl`` (or ``.csv``)
-  streams one record per completed scenario to disk instead of
+  parallel (``--workers``).  ``--out results.jsonl`` streams one JSON
+  Lines record per completed scenario to disk instead of
   accumulating summaries in memory; a scenario that raises becomes an
   error record instead of aborting the sweep.  ``--resume`` reruns an
   interrupted sweep: scenarios already recorded in ``--out`` are
@@ -195,7 +195,8 @@ def cmd_sweep(args) -> int:
             grid,
             workers=args.workers,
             lean=not args.timelines,
-            sink=sink_for_path(args.out, resume=args.resume),
+            sink=sink_for_path(args.out),
+            resume=args.resume,
         )
         elapsed = time.perf_counter() - started
         report = sink.report
@@ -481,10 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--timelines", action="store_true",
                               help="record full timelines (slower)")
     sweep_parser.add_argument("--out", default=None, metavar="PATH",
-                              help="stream results to PATH (.jsonl/.ndjson or "
-                                   ".csv; .json is rejected — the stream is "
-                                   "JSON Lines, not a JSON document), one "
-                                   "record per completed scenario, instead of "
+                              help="stream results to PATH as JSON Lines "
+                                   "(.jsonl/.ndjson; any other extension, "
+                                   ".json included, is rejected), one record "
+                                   "per completed scenario, instead of "
                                    "holding every summary in memory; existing "
                                    "files are appended to, never truncated")
     sweep_parser.add_argument("--resume", action="store_true",

@@ -14,11 +14,11 @@ The experiment-facing layer is built from composable pieces:
 * :mod:`repro.api.executor` — :func:`runs` / :func:`run_grid` /
   :func:`run_policies`, serial or on a process pool (``workers > 1``);
 * :mod:`repro.api.sinks` — streamed :class:`ResultSink` outputs
-  (:class:`JsonlSink` / :class:`CsvSink` / :class:`InMemorySink`) so
-  1000+-scenario sweeps flush results incrementally.  File sinks are
-  append-only and restart-safe: ``resume=True`` (on the sink or the
-  executor) skips scenarios already recorded, scenarios that raise
-  become structured error records instead of aborting the sweep, and
+  (:class:`JsonlSink` / :class:`InMemorySink`) so 1000+-scenario sweeps
+  flush results incrementally.  Results files are JSON Lines,
+  append-only and restart-safe: ``resume=True`` on the executor skips
+  scenarios already recorded, scenarios that raise become structured
+  error records instead of aborting the sweep, and
   ``completed_keys(path)`` lists what a results file already holds;
 * :mod:`repro.api.campaign` — manifest-driven campaigns on top of all
   of it: a JSON/TOML manifest describes the grid, sharding and a report
@@ -69,17 +69,14 @@ from repro.api.engine import SimulationEngine
 from repro.api.executor import SweepReport, run_grid, run_policies, run_scenario, runs
 from repro.api.fluid_engine import FluidEngine
 from repro.api.sinks import (
-    CsvSink,
     InMemorySink,
     JsonlSink,
     ResultsMismatchError,
     ResultSink,
     completed_keys,
     error_record,
-    read_csv,
     read_jsonl,
     read_records,
-    record_fieldnames,
     recorded_keys,
     sink_for_path,
     summary_record,
@@ -120,17 +117,14 @@ __all__ = [
     "run_policies",
     "ResultSink",
     "JsonlSink",
-    "CsvSink",
     "InMemorySink",
     "SweepReport",
     "sink_for_path",
     "summary_record",
     "error_record",
-    "record_fieldnames",
     "completed_keys",
     "recorded_keys",
     "read_jsonl",
-    "read_csv",
     "read_records",
     "ResultsMismatchError",
     "CampaignManifest",

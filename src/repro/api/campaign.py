@@ -18,8 +18,8 @@ sensitivity studies end to end:
   :func:`shard_path` results file, so ``--shard i/n`` splits one
   campaign across processes or hosts with no coordination beyond the
   shared manifest;
-* **run** — scenarios stream through the append-only
-  :mod:`repro.api.sinks` with ``resume=True``: a killed shard rerun
+* **run** — scenarios stream through the append-only JSON Lines
+  :mod:`repro.api.sinks`, resumed by default: a killed shard rerun
   executes exactly its missing scenarios, and a results file written by
   a *different* grid raises
   :class:`~repro.api.sinks.ResultsMismatchError` instead of being
@@ -972,13 +972,13 @@ class CampaignRunner:
         Without ``shard``, the manifest's ``shards`` setting applies:
         every shard runs in sequence locally (one results file each), so
         a single host still produces the sharded layout a fleet would.
-        Scenarios stream through an append-only file sink with
+        Scenarios stream through an append-only JSON Lines sink with
         ``resume=True`` (default): rerunning after a kill executes
         exactly the missing scenarios; ``resume=False`` refuses an
         existing non-empty results file instead of appending to it.  A
         caller-supplied ``sink`` (e.g. :class:`InMemorySink`) bypasses
         the file layout and runs the whole grid — or the given shard —
-        into it.
+        into it, skipping what it already holds unless ``resume=False``.
         """
         grid = self.grid()
         workers = workers if workers is not None else self.manifest.workers
@@ -991,7 +991,7 @@ class CampaignRunner:
                 workers=workers,
                 lean=self.manifest.lean,
                 sink=sink,
-                resume=resume or sink.resume,
+                resume=resume,
             )
             return [
                 ShardRun(
@@ -1021,12 +1021,11 @@ class CampaignRunner:
                     "the file for a genuinely fresh run (it is never "
                     "truncated)"
                 )
-            file_sink = sink_for_path(path, resume=resume)
             result = runs(
                 scenarios,
                 workers=workers,
                 lean=self.manifest.lean,
-                sink=file_sink,
+                sink=sink_for_path(path),
                 resume=resume,
             )
             shard_runs.append(

@@ -38,20 +38,20 @@ Streamed sweeps are *fault-tolerant* and *resumable*:
   record (:meth:`~repro.api.sinks.ResultSink.write_error`) and the
   remaining scenarios keep running — one bad scenario cannot abort a
   1000-scenario sweep;
-* ``resume=True`` (or a sink constructed with ``resume=True``) skips
-  every scenario whose key the sink already records successfully
-  (:meth:`~repro.api.sinks.ResultSink.completed_keys`), *before* traces
-  are materialised — rerunning an interrupted sweep executes exactly
-  the missing scenarios and appends their records.  Scenario keys are
-  therefore a durability contract: streamed sweeps reject duplicate
-  keys up front instead of silently collapsing them, and a resume
-  against a file whose records name keys *outside* the current grid
-  raises :class:`~repro.api.sinks.ResultsMismatchError` — the file was
-  written by a different grid and must not be mixed with this one.
+* ``resume=True`` skips every scenario whose key the sink already
+  records successfully (:meth:`~repro.api.sinks.ResultSink.scan_keys`),
+  *before* traces are materialised — rerunning an interrupted sweep
+  executes exactly the missing scenarios and appends their records.
+  Scenario keys are therefore a durability contract: streamed sweeps
+  reject duplicate keys up front instead of silently collapsing them,
+  and a resume against a file whose records name keys *outside* the
+  current grid raises :class:`~repro.api.sinks.ResultsMismatchError` —
+  the file was written by a different grid and must not be mixed with
+  this one.
 
-``run_policies`` runs several policies over one trace with a shared
-static-server budget — computed into a local copy of the config, never
-written back onto the caller's — and returns the summaries in memory,
+``run_policies`` runs several policies over one trace exactly as grid
+members — every policy gets the same static-server budget, applied to
+a copy of the caller's config — and returns the summaries in memory,
 keyed by policy name.  Streamed records carry :attr:`Scenario.key`
 only, so a resumable comparison is a grid (``run_grid(..., sink=)``).
 """
@@ -299,7 +299,6 @@ class _SharedTraceArena:
 def run_scenario(
     scenario: Scenario,
     lean: bool = False,
-    observers=None,
     trace: Optional[Trace] = None,
 ) -> RunSummary:
     """Run one scenario to completion and return its summary.
@@ -319,16 +318,13 @@ def run_scenario(
             scenario.policy_spec(),
             source,
             config,
-            observers=observers,
             # A caller-supplied trace names itself; the scenario's key
             # would mislabel it.
             trace_name=None if trace is not None else scenario.trace_key,
         )
         return engine.run()
     trace = trace if trace is not None else scenario.build_trace()
-    engine = SimulationEngine(
-        scenario.policy_spec(), trace, config, observers=observers, lean=lean
-    )
+    engine = SimulationEngine(scenario.policy_spec(), trace, config, lean=lean)
     return engine.run()
 
 
@@ -585,10 +581,10 @@ def runs(
     completes (keyed by :attr:`Scenario.key`) instead of being
     accumulated, and the sink itself is returned with ``sink.report``
     counting ran/skipped/failed scenarios.  Scenario keys must then be
-    unique — they are the records' identity.  ``resume=True`` (implied
-    by a sink constructed with ``resume=True``) skips scenarios the
-    sink already records successfully, before their traces are built,
-    so rerunning an interrupted sweep costs only the missing scenarios.
+    unique — they are the records' identity.  ``resume=True`` skips
+    scenarios the sink already records successfully, before their
+    traces are built, so rerunning an interrupted sweep costs only the
+    missing scenarios.
     """
     scenarios = list(scenarios)
     if sink is None:
@@ -609,7 +605,7 @@ def runs(
             "never ran) — disambiguate with Scenario.label"
         )
     skipped = 0
-    if resume or sink.resume:
+    if resume:
         recorded, done = sink.scan_keys()
         _check_no_stale_records(recorded, keys)
         if done:
@@ -660,21 +656,20 @@ def run_policies(
 ) -> Dict[str, RunSummary]:
     """Run several policies on one trace with a shared static budget.
 
-    The static server budget is computed once from the trace (9-pool
+    The scenarios run exactly as grid members would (:func:`runs`), so
+    the static server budget is sized once from the trace with 9-pool
     peak accounting, as the paper provisions every baseline with the
-    same peak-capable cluster) and applied through a *copy* of the
-    config — the caller's ``ExperimentConfig`` is never mutated.  On the
-    fluid backend (``backend="fluid"``, required for pre-binned traces)
-    the budget sizing happens inside the fluid runner from the binned
-    peaks instead.
+    same peak-capable cluster, whatever ``config.scheme`` is.  It is
+    applied through a *copy* of the config — the caller's
+    ``ExperimentConfig`` is never mutated.  On the fluid backend
+    (``backend="fluid"``, required for pre-binned traces) the budget
+    sizing happens inside the fluid runner from the binned peaks
+    instead.
 
     Results are keyed by policy name, in ``specs`` order, so duplicate
     :attr:`PolicySpec.name` entries are rejected — a silent dict
     collapse would lose results.
     """
-    from repro.experiments.runner import ExperimentConfig, recommended_static_servers
-
-    config = config or ExperimentConfig()
     specs = list(specs)
     duplicates = _duplicate_keys([spec.name for spec in specs])
     if duplicates:
@@ -684,19 +679,6 @@ def run_policies(
             + ": run_policies keys results by PolicySpec.name, so duplicates "
             "would silently collide"
         )
-    if (
-        specs
-        and backend == "event"
-        and config.static_servers is None
-        and isinstance(trace, Trace)
-    ):
-        from repro.workload.classification import DEFAULT_SCHEME
-
-        profile = config.resolved_profile()
-        budget = recommended_static_servers(
-            trace, profile, config.scheme or DEFAULT_SCHEME
-        )
-        config = dataclasses.replace(config, static_servers=budget)
     scenarios = [
         Scenario(policy=spec, trace=trace, backend=backend, base_config=config)
         for spec in specs

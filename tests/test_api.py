@@ -290,6 +290,26 @@ class TestRunPolicies:
         # The static baseline holds the shared peak budget for the whole run.
         assert summaries["SinglePool"].average_servers > 0
 
+    def test_records_equal_grid_under_four_pool_scheme(self, api_trace, api_config):
+        """run_policies sizes the static budget exactly as a grid run
+        does — from 9-pool peaks, whatever the config's scheme."""
+        from repro.api import summary_record
+        from repro.workload.classification import scheme_for_pool_count
+
+        config = dataclasses.replace(
+            api_config, static_servers=None, scheme=scheme_for_pool_count(4)
+        )
+        by_policy = run_policies(api_trace, (SINGLE_POOL, DYNAMO_LLM), config, lean=True)
+        grid = sweep(
+            policies=("SinglePool", "DynamoLLM"), traces=(api_trace,), base_config=config
+        )
+        by_key = run_grid(grid, lean=True)
+        for scenario in grid:
+            name = scenario.policy_spec().name
+            assert summary_record(scenario.key, by_policy[name]) == summary_record(
+                scenario.key, by_key[scenario.key]
+            )
+
 
 class TestCli:
     def test_list_experiments(self, capsys):

@@ -207,8 +207,9 @@ class TestManifest:
             manifest_from_dict({"name": "m"})
 
     def test_bad_output_extension_rejected(self):
-        with pytest.raises(ManifestError, match="output"):
-            manifest_from_dict({"name": "m", "grid": {}, "output": "results.json"})
+        for output in ("results.json", "r.csv"):
+            with pytest.raises(ManifestError, match="output"):
+                manifest_from_dict({"name": "m", "grid": {}, "output": output})
 
     def test_bad_trace_field_rejected(self):
         data = {"name": "m", "grid": {"traces": [{"kindd": "week"}]}}
@@ -606,11 +607,12 @@ class TestResumeMismatch:
             ],
             sink=sink,
         )
-        assert sink.recorded_keys() == {
+        recorded, completed = sink.scan_keys()
+        assert recorded == {
             "SinglePool/mini/fluid",
             "Exploding/mini/fluid",
         }
-        assert sink.completed_keys() == {"SinglePool/mini/fluid"}
+        assert completed == {"SinglePool/mini/fluid"}
 
 
 # ----------------------------------------------------------------------

@@ -152,15 +152,12 @@ import pytest
 
 from repro.api import (
     BinnedTrace,
-    CsvSink,
     JsonlSink,
     Scenario,
-    read_csv,
     read_jsonl,
     run_grid,
     run_scenario,
     summary_record,
-    sweep,
 )
 from repro.workload.loaders import resample_trace
 from repro.workload.request import Request
@@ -201,25 +198,6 @@ class TestSinkRoundTripProperties:
         }
         for record in read_jsonl(str(path)):
             assert record == expected[record["scenario"]]
-
-    def test_csv_round_trip_identical_records(self, tmp_path):
-        rng = random.Random(42)
-        scenarios = _random_fluid_scenarios(rng, 4)
-        path = tmp_path / "roundtrip.csv"
-        from repro.api import ScenarioGrid
-
-        run_grid(ScenarioGrid(scenarios), sink=CsvSink(str(path)))
-        expected = {
-            s.key: summary_record(s.key, run_scenario(s)) for s in scenarios
-        }
-        records = read_csv(str(path))
-        assert len(records) == len(scenarios)
-        for record in records:
-            want = expected[record["scenario"]]
-            assert set(record) == set(want)
-            for name, value in want.items():
-                # Python float/int reprs round-trip exactly through JSON.
-                assert record[name] == value, name
 
 
 class TestObserverInvariantProperties:

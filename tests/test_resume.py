@@ -2,10 +2,10 @@
 
 The durability contract pinned here:
 
-* file sinks **append** to an existing results file — a fresh sink on a
-  half-written file preserves the prior records, reuses the CSV header
-  and seeds ``count`` from disk; a torn final line (crash mid-write) is
-  repaired on open and tolerated by the readers;
+* the JSON Lines sink **appends** to an existing results file — a fresh
+  sink on a half-written file preserves the prior records and seeds
+  ``count`` from disk; a torn final line (crash mid-write) is repaired
+  on open and tolerated by the readers;
 * ``resume=True`` executes exactly the scenarios missing from the sink
   (counted here from the sweep report and the records the resumed run
   appends, serially and on process pools) and the resumed file's record
@@ -25,7 +25,6 @@ import pytest
 
 from repro.api import (
     BinnedTrace,
-    CsvSink,
     InMemorySink,
     JsonlSink,
     Scenario,
@@ -33,7 +32,6 @@ from repro.api import (
     SweepReport,
     completed_keys,
     error_record,
-    read_csv,
     read_jsonl,
     run_grid,
     run_policies,
@@ -103,22 +101,7 @@ class TestSinkRestart:
         records = read_jsonl(str(path))
         assert len(records) == sink.count == 4  # 3 preserved + 1 appended
         assert records[:3] == read_jsonl(str(path))[:3]
-        assert sink.written == 1
-
-    def test_fresh_csv_sink_reuses_header_and_count(self, mini_trace, tmp_path):
-        path = tmp_path / "restart.csv"
-        first = sweep(policies=("SinglePool", "DynamoLLM"), traces=(mini_trace,),
-                      backends=("fluid",))
-        run_grid(first, sink=CsvSink(str(path)))
-
-        sink = CsvSink(str(path))
-        second = sweep(policies=("ScaleInst",), traces=(mini_trace,), backends=("fluid",))
-        run_grid(second, sink=sink)
-        text = path.read_text()
-        assert text.count("scenario,policy") == 1  # no duplicate header
-        records = read_csv(str(path))
-        assert [r["policy"] for r in records] == ["SinglePool", "DynamoLLM", "ScaleInst"]
-        assert sink.count == 3
+        assert sink.report.ran == 1
 
     def test_jsonl_torn_final_line_repaired_on_open(self, mini_grid, tmp_path):
         path = tmp_path / "torn.jsonl"
@@ -156,74 +139,9 @@ class TestSinkRestart:
         with pytest.raises(ValueError, match="unparsable"):
             read_jsonl(str(path))
 
-    def test_read_csv_drops_torn_final_row(self, mini_trace, tmp_path):
-        path = tmp_path / "torn.csv"
-        grid = sweep(policies=("SinglePool", "DynamoLLM"), traces=(mini_trace,),
-                     backends=("fluid",))
-        run_grid(grid, sink=CsvSink(str(path)))
-        text = path.read_text()
-        lines = text.splitlines(keepends=True)
-        path.write_text("".join(lines[:-1]) + lines[-1][:20])
-        records = read_csv(str(path))
-        assert [r["policy"] for r in records] == ["SinglePool"]
-        assert completed_keys(str(path)) == {records[0]["scenario"]}
-
-    def test_csv_sink_repairs_torn_final_row_on_open(self, mini_trace, tmp_path):
-        path = tmp_path / "torn-repair.csv"
-        grid = sweep(policies=("SinglePool", "DynamoLLM"), traces=(mini_trace,),
-                     backends=("fluid",))
-        run_grid(grid, sink=CsvSink(str(path)))
-        text = path.read_text()
-        lines = text.splitlines(keepends=True)
-        path.write_text("".join(lines[:-1]) + lines[-1][:20])
-        sink = CsvSink(str(path))
-        sink.open()
-        sink.close()
-        assert sink.count == 1
-        assert path.read_text() == "".join(lines[:-1])
-
-    def test_csv_torn_inside_last_cell_is_rerun_not_lost(self, mini_trace, tmp_path):
-        """A row torn *inside its final cell* (every column delimiter
-        present) must be repaired before resume counts completed keys —
-        counting it as done would skip the scenario and then delete its
-        only record."""
-        path = tmp_path / "torn-cell.csv"
-        grid = sweep(policies=("SinglePool", "DynamoLLM"), traces=(mini_trace,),
-                     backends=("fluid",))
-        run_grid(grid, sink=CsvSink(str(path)))
-        text = path.read_text()
-        lines = text.splitlines(keepends=True)
-        # Chop inside the last cell, keeping all commas: drop the
-        # row terminator and the final few characters of the last cell.
-        torn = lines[-1].rstrip("\r\n")[:-2]
-        path.write_text("".join(lines[:-1]) + torn)
-
-        sink = run_grid(grid, sink=CsvSink(str(path), resume=True))
-        assert sink.report.skipped == 1 and sink.report.ran == 1  # rerun, not lost
-        records = read_csv(str(path))
-        assert sorted(r["scenario"] for r in records) == sorted(grid.keys())
-        assert all(r["energy_kwh"] > 0 for r in records)
-
-    def test_csv_header_only_file_gets_no_second_header(self, mini_trace, tmp_path):
-        """A sweep that died after the header (torn first data row)
-        must not gain a duplicate header on restart."""
-        path = tmp_path / "header-only.csv"
-        empty = CsvSink(str(path))
-        empty.open()  # writes the canonical header up front
-        empty.close()
-        assert read_csv(str(path)) == []
-
-        grid = sweep(policies=("SinglePool",), traces=(mini_trace,), backends=("fluid",))
-        run_grid(grid, sink=CsvSink(str(path), resume=True))
-        text = path.read_text()
-        assert text.count("scenario,policy") == 1
-        (record,) = read_csv(str(path))
-        assert record["policy"] == "SinglePool"
-        assert completed_keys(str(path)) == {record["scenario"]}
-
-    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    @pytest.mark.parametrize("suffix", ["jsonl", "ndjson"])
     def test_newline_terminated_torn_record_is_repaired(self, mini_trace, tmp_path, suffix):
-        """A truncation landing exactly on the row terminator leaves a
+        """A truncation landing exactly on the line terminator leaves a
         short-but-newline-terminated final record.  The readers tolerate
         it only while it is last, so the repair must drop it — otherwise
         a resumed append strands it as a corrupt *middle* record and
@@ -231,17 +149,15 @@ class TestSinkRestart:
         path = tmp_path / f"torn-terminated.{suffix}"
         grid = sweep(policies=("SinglePool", "DynamoLLM"), traces=(mini_trace,),
                      backends=("fluid",))
-        sink_type = JsonlSink if suffix == "jsonl" else CsvSink
-        run_grid(grid, sink=sink_type(str(path)))
+        run_grid(grid, sink=sink_for_path(str(path)))
         text = path.read_text()
         lines = text.splitlines(keepends=True)
         # Chop characters out of the final record but keep its newline.
         path.write_text("".join(lines[:-1]) + lines[-1][:-12] + "\n")
 
-        sink = run_grid(grid, sink=sink_type(str(path), resume=True))
+        sink = run_grid(grid, sink=sink_for_path(str(path)), resume=True)
         assert sink.report.skipped == 1 and sink.report.ran == 1
-        reader = read_jsonl if suffix == "jsonl" else read_csv
-        records = reader(str(path))  # parses cleanly end to end
+        records = read_jsonl(str(path))  # parses cleanly end to end
         assert sorted(r["scenario"] for r in records) == sorted(grid.keys())
         assert all(not r.get("error") for r in records)
 
@@ -291,17 +207,11 @@ class TestResume:
     def test_resume_on_complete_file_runs_nothing(self, mini_grid, tmp_path):
         path = tmp_path / "done.jsonl"
         run_grid(mini_grid, sink=JsonlSink(str(path)))
-        sink = run_grid(mini_grid, sink=JsonlSink(str(path), resume=True))
+        sink = run_grid(mini_grid, sink=JsonlSink(str(path)), resume=True)
         assert sink.report == SweepReport(
             total=len(mini_grid), skipped=len(mini_grid), ran=0, failed=0
         )
         assert len(read_jsonl(str(path))) == len(mini_grid)
-
-    def test_sink_resume_flag_implies_resume(self, mini_grid, tmp_path):
-        path = tmp_path / "flag.jsonl"
-        run_grid(mini_grid, sink=JsonlSink(str(path)))
-        sink = run_grid(mini_grid, sink=JsonlSink(str(path), resume=True))
-        assert sink.report.ran == 0 and sink.report.skipped == len(mini_grid)
 
     def test_resume_skips_before_traces_materialise(self, tmp_path, monkeypatch):
         """Completed scenarios must not even build their traces."""
@@ -318,7 +228,7 @@ class TestResume:
             raise AssertionError("trace rebuilt despite resume")
 
         monkeypatch.setattr(TraceSpec, "build_bins", explode)
-        sink = run_grid(grid, sink=JsonlSink(str(path), resume=True))
+        sink = run_grid(grid, sink=JsonlSink(str(path)), resume=True)
         assert sink.report.skipped == 2
 
     def test_resume_without_sink_raises(self, mini_grid):
@@ -332,20 +242,6 @@ class TestResume:
         run_grid(mini_grid, sink=sink)
         report = run_grid(mini_grid, sink=sink, resume=True).report
         assert report.skipped == len(mini_grid) and report.ran == 0
-
-    def test_csv_resume_round_trip(self, mini_grid, tmp_path):
-        path = tmp_path / "resume.csv"
-        run_grid(mini_grid, sink=CsvSink(str(path)))
-        text = path.read_text()
-        lines = text.splitlines(keepends=True)
-        path.write_text("".join(lines[:3]))  # header + 2 rows
-
-        sink = run_grid(mini_grid, sink=CsvSink(str(path), resume=True))
-        assert sink.report.skipped == 2
-        records = read_csv(str(path))
-        assert sorted(r["scenario"] for r in records) == sorted(mini_grid.keys())
-        assert path.read_text().count("scenario,policy") == 1  # single header
-
 
 # ----------------------------------------------------------------------
 # Fault tolerance: a raising scenario cannot abort the sweep
@@ -377,79 +273,16 @@ class TestFaultTolerance:
         grid = self._grid_with_failure(mini_trace)
         path = tmp_path / "retry.jsonl"
         run_grid(grid, sink=JsonlSink(str(path)))
-        sink = run_grid(grid, sink=JsonlSink(str(path), resume=True))
+        sink = run_grid(grid, sink=JsonlSink(str(path)), resume=True)
         # The two successes are skipped; the failure is retried (and
         # fails again, appending a second error record).
         assert sink.report == SweepReport(total=3, skipped=2, ran=0, failed=1)
         records = read_jsonl(str(path))
         assert sum(1 for r in records if r.get("error")) == 2
 
-    def test_csv_error_records(self, mini_trace, tmp_path):
-        grid = self._grid_with_failure(mini_trace)
-        path = tmp_path / "fail.csv"
-        run_grid(grid, sink=CsvSink(str(path)))
-        records = read_csv(str(path))
-        assert len(records) == 3
-        by_key = {r["scenario"]: r for r in records}
-        failure = by_key["Exploding/mini/fluid"]
-        assert failure["error"] == "RuntimeError: simulated mid-sweep failure"
-        assert failure["energy_kwh"] is None  # metric cells left empty
-        assert by_key["SinglePool/mini/fluid"]["error"] is None
-        assert completed_keys(str(path)) == {
-            "SinglePool/mini/fluid", "DynamoLLM/mini/fluid",
-        }
-
-    def test_csv_error_before_any_success_keeps_full_schema(self, mini_trace, tmp_path):
-        """The failing scenario completing first must not freeze a
-        two-column header for the whole file — the canonical header is
-        written up front."""
-        grid = ScenarioGrid(
-            [Scenario(policy=EXPLODING, trace=mini_trace, backend="fluid"),
-             Scenario(policy="SinglePool", trace=mini_trace, backend="fluid")]
-        )
-        path = tmp_path / "error-first.csv"
-        run_grid(grid, sink=CsvSink(str(path)))
-        records = read_csv(str(path))
-        assert len(records) == 2
-        assert {r["scenario"] for r in records} == {
-            "Exploding/mini/fluid", "SinglePool/mini/fluid",
-        }
-        success = next(r for r in records if r["error"] is None)
-        assert success["energy_kwh"] > 0
-
-    def test_csv_error_only_sweep_still_persists_failures(self, mini_trace, tmp_path):
-        grid = ScenarioGrid([Scenario(policy=EXPLODING, trace=mini_trace, backend="fluid")])
-        path = tmp_path / "only-errors.csv"
-        sink = run_grid(grid, sink=CsvSink(str(path)))
-        assert sink.report.failed == 1
-        (record,) = read_csv(str(path))
-        assert record["scenario"] == "Exploding/mini/fluid"
-        assert "RuntimeError" in record["error"]
-
-    def test_csv_error_only_file_resumes_with_full_schema(self, mini_trace, tmp_path):
-        """Successes appended to a file created by an error-only sweep
-        keep their metric columns (the header is canonical up front)."""
-        path = tmp_path / "errors-then-success.csv"
-        bad = ScenarioGrid([Scenario(policy=EXPLODING, trace=mini_trace, backend="fluid")])
-        run_grid(bad, sink=CsvSink(str(path)))
-        # Resume with a *superset* grid (the error record's key must stay
-        # part of the resumed grid — foreign keys are a mismatch error).
-        wider = ScenarioGrid(
-            [
-                Scenario(policy=EXPLODING, trace=mini_trace, backend="fluid"),
-                Scenario(policy="SinglePool", trace=mini_trace, backend="fluid"),
-            ]
-        )
-        run_grid(wider, sink=CsvSink(str(path), resume=True))
-        records = read_csv(str(path))
-        success = next(r for r in records if r["error"] is None)
-        assert success["energy_kwh"] > 0  # metrics survived the resume
-        assert path.read_text().count("scenario,policy") == 1
-
-    def test_csv_error_message_newlines_are_collapsed(self, mini_trace, tmp_path):
-        """Raw newlines in exception text must not enter CSV cells — a
-        crash after an embedded newline would be indistinguishable from
-        a complete row."""
+    def test_error_message_newlines_are_collapsed(self, mini_trace, tmp_path):
+        """Raw newlines in exception text are collapsed, so the error
+        message stays on one line wherever a record is shown."""
 
         class MultilineBoom(PolicySpec):
             def scheme(self, override=None):
@@ -458,30 +291,15 @@ class TestFaultTolerance:
         spec = MultilineBoom(name="Multiline", multi_pool=True, scale_instances=True,
                              scale_sharding=True, scale_frequency=True)
         grid = ScenarioGrid([Scenario(policy=spec, trace=mini_trace, backend="fluid")])
-        path = tmp_path / "multiline.csv"
-        run_grid(grid, sink=CsvSink(str(path)))
-        (record,) = read_csv(str(path))
+        path = tmp_path / "multiline.jsonl"
+        run_grid(grid, sink=JsonlSink(str(path)))
+        (record,) = read_jsonl(str(path))
         assert record["error"] == "RuntimeError: line one line two line three"
-        # Every physical line is a complete row: reader and repair agree.
-        sink = CsvSink(str(path))
+        # Every physical line is a complete record: reader and repair agree.
+        sink = JsonlSink(str(path))
         sink.open()
         assert sink.count == 1
         sink.close()
-
-    def test_csv_legacy_header_without_error_column_refuses_error_records(
-        self, mini_trace, tmp_path
-    ):
-        """Appending an error row to a pre-error-column CSV would strip
-        the message and read back as a success — refuse loudly."""
-        path = tmp_path / "legacy.csv"
-        path.write_text(
-            "scenario,policy,trace,energy_kwh\r\nA,SinglePool,mini,1.0\r\n"
-        )
-        grid = ScenarioGrid([Scenario(policy=EXPLODING, trace=mini_trace, backend="fluid")])
-        with pytest.raises(ValueError, match="no 'error' column"):
-            run_grid(grid, sink=CsvSink(str(path)))
-        # The legacy successes still read and resume fine.
-        assert completed_keys(str(path)) == {"A"}
 
     def test_in_memory_sink_collects_errors(self, mini_trace):
         grid = self._grid_with_failure(mini_trace)
@@ -496,7 +314,7 @@ class TestFaultTolerance:
 
         class BrokenAfterOne(JsonlSink):
             def write(self, key, summary):
-                if self.written >= 1:
+                if self.count >= 1:
                     raise OSError("disk full")
                 super().write(key, summary)
 
@@ -579,20 +397,16 @@ class TestKeyCollisions:
 
 
 # ----------------------------------------------------------------------
-# sink_for_path and the .json refusal
+# sink_for_path: JSON Lines only, with the .json and .csv refusals
 # ----------------------------------------------------------------------
 class TestSinkForPath:
     def test_json_extension_rejected(self):
-        with pytest.raises(ValueError, match=r"\.jsonl or \.ndjson"):
-            sink_for_path("results.json")
+        for name in ("results.json", "results.csv"):
+            with pytest.raises(ValueError, match=r"\.jsonl or \.ndjson"):
+                sink_for_path(name)
 
     def test_ndjson_maps_to_jsonl_sink(self):
         assert isinstance(sink_for_path("results.ndjson"), JsonlSink)
-
-    def test_resume_flag_passes_through(self):
-        assert sink_for_path("a.jsonl", resume=True).resume is True
-        assert sink_for_path("a.csv", resume=True).resume is True
-        assert sink_for_path("a.jsonl").resume is False
 
 
 # ----------------------------------------------------------------------
@@ -613,8 +427,8 @@ class TestSinkOpenErrors:
         assert "parent directory" in message
 
     def test_directory_target_names_path_and_fix(self, tmp_path):
-        sink = sink_for_path(str(tmp_path) + "/dir.csv")
-        (tmp_path / "dir.csv").mkdir()
+        sink = sink_for_path(str(tmp_path) + "/dir.jsonl")
+        (tmp_path / "dir.jsonl").mkdir()
         with pytest.raises(ValueError, match="not a directory"):
             sink.open()
 
@@ -626,11 +440,9 @@ class TestSinkOpenErrors:
         assert str(target) in str(excinfo.value)
 
     def test_reader_on_missing_file_says_check_path(self, tmp_path):
-        missing = str(tmp_path / "gone.csv")
-        from repro.api.sinks import read_csv
-
+        missing = str(tmp_path / "gone.jsonl")
         with pytest.raises(ValueError, match="check the path exists"):
-            read_csv(missing)
+            read_jsonl(missing)
 
     def test_cli_surfaces_sink_error_without_traceback(self, tmp_path, capsys):
         from repro.__main__ import main
@@ -708,8 +520,9 @@ class TestCliResume:
         assert "--resume requires --out" in capsys.readouterr().err
 
     def test_json_out_rejected(self, tmp_path, capsys):
-        assert self._sweep(tmp_path / "cli.json") == 2
-        assert ".jsonl or .ndjson" in capsys.readouterr().err
+        for name in ("cli.json", "cli.csv"):
+            assert self._sweep(tmp_path / name) == 2
+            assert ".jsonl or .ndjson" in capsys.readouterr().err
 
     def test_resume_on_fresh_path_is_a_fresh_sweep(self, tmp_path):
         out = tmp_path / "fresh.jsonl"
