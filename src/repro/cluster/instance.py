@@ -16,6 +16,7 @@ serving time unless the optimised switching path is enabled.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from repro.cluster.frequency import FrequencyController
 from repro.llm.catalog import ModelSpec
 from repro.llm.gpu import ServerSpec, DGX_H100
 from repro.perf.config import InstanceConfig
-from repro.perf.latency_model import LatencyModel, MAX_BATCH
+from repro.perf.latency_model import ITERATION_OVERHEAD_S, LatencyModel, MAX_BATCH
 from repro.perf.power_model import PowerModel
 from repro.workload.classification import classify_request, equivalent_prompt_tokens
 from repro.workload.request import Request, RequestOutcome
@@ -44,21 +45,15 @@ class RequestState:
     type_name: str = field(init=False)
     generated_tokens: int = 0
     first_token_time: Optional[float] = None
-    deadline: Optional[float] = None
+    #: Decode tick of the running instance at which the last output token
+    #: is produced; set when the state starts decoding there.
+    finish_tick: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.remaining_prefill = self.request.input_tokens
         # Classification is a pure function of the request's true token
         # lengths; caching it here keeps it off the per-step token loops.
         self.type_name = classify_request(self.request).name
-
-    @property
-    def prefill_done(self) -> bool:
-        return self.remaining_prefill <= 0
-
-    @property
-    def done(self) -> bool:
-        return self.prefill_done and self.generated_tokens >= self.request.output_tokens
 
     @property
     def context_tokens(self) -> int:
@@ -112,7 +107,6 @@ class InferenceInstance:
             optimized=optimized_frequency_switching,
         )
         self.waiting: Deque[RequestState] = deque()
-        self.running: List[RequestState] = []
         self.completed: List[RequestOutcome] = []
         self.total_energy_wh = 0.0
         self.energy_by_type_wh: Dict[str, float] = {}
@@ -139,13 +133,30 @@ class InferenceInstance:
         # on the step hot path.
         self._kv_tokens = 0
         self._reserved_tokens = 0
-        # States whose decode finished this step; lets _finish_completed
-        # skip rebuilding ``running`` on the (common) no-completion steps.
-        self._finished_pending: List[RequestState] = []
-        # Idle instance power memoised per (tp, frequency): the power
-        # model is a pure function, and zero-activity steps dominate in
-        # scaled-up fleets.
-        self._idle_power_cache: Dict[Tuple[int, int], float] = {}
+        # The running batch by admission sequence number (dicts keep
+        # insertion order, so values() is admission order).
+        self._batch: Dict[int, RequestState] = {}
+        self._admission_seqs = itertools.count()
+        # Admitted states still in prefill, in admission order; a step's
+        # prefill completions are always a prefix of this queue.
+        self._prefilling: Deque[Tuple[int, RequestState]] = deque()
+        # Closed-form decode.  Every decoding state gains one token per
+        # decode iteration until it finishes, so its progress is the
+        # instance's decode tick minus the tick it started at: a state
+        # finishes at ``finish_tick`` and the heap of (finish_tick, seq,
+        # state) yields a step's finishers without scanning the batch.
+        # It holds every decoding state, so its length is the decoder count.
+        self._decode_tick = 0
+        self._finish_heap: List[Tuple[int, int, RequestState]] = []
+        self._decoders_by_type: Dict[str, int] = {}
+        self._kv_bytes_per_token = model.kv_bytes_per_token()
+        gpu = server.gpu
+        self._idle_watts = gpu.idle_watts
+        self._dynamic_range = gpu.tdp_watts - gpu.idle_watts
+        # (TP, frequency) that _resolve_configuration last resolved; step()
+        # re-resolves whenever either has changed since (re-sharding or a
+        # frequency switch), so no reconfiguration path needs a hook.
+        self._config_key: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -157,6 +168,22 @@ class InferenceInstance:
     @property
     def gpu_count(self) -> int:
         return self.tensor_parallelism
+
+    def _resolve_configuration(self) -> None:
+        """Resolve what depends only on (TP, frequency), once per change.
+
+        Each value is the complete result of a model call, never a partial
+        product, so reading it back is bit-identical to calling the model.
+        """
+        tp = self.tensor_parallelism
+        frequency_mhz = self.frequency.current_frequency_mhz
+        self._config_key = (tp, frequency_mhz)
+        self._config = InstanceConfig(tp, frequency_mhz)
+        self._latency_constants = self.latency._constants(self._config)
+        self._kv_capacity = self.latency.kv_capacity_tokens(self._config)
+        self._dynamic_scale = self.power_model.dynamic_scale(frequency_mhz)
+        self._host_share = self.power_model.host_share(tp)
+        self._idle_power = self.power_model.instance_power(tp, frequency_mhz, 0.0)
 
     def set_frequency(self, frequency_mhz: int, now: float = 0.0) -> bool:
         """Change the GPU frequency (pays the switching overhead)."""
@@ -281,12 +308,28 @@ class InferenceInstance:
         return len(self.waiting)
 
     @property
+    def running(self) -> List[RequestState]:
+        """The running batch in admission order.
+
+        The step never rescans the batch, so decoding states'
+        ``generated_tokens`` are brought up to date here, on read.
+        """
+        tick = self._decode_tick
+        states = list(self._batch.values())
+        for state in states:
+            if state.remaining_prefill <= 0:
+                state.generated_tokens = state.request.output_tokens - (
+                    state.finish_tick - tick
+                )
+        return states
+
+    @property
     def batch_size(self) -> int:
-        return len(self.running)
+        return len(self._batch)
 
     @property
     def active_requests(self) -> int:
-        return len(self.waiting) + len(self.running)
+        return len(self.waiting) + len(self._batch)
 
     @property
     def kv_tokens_used(self) -> int:
@@ -329,7 +372,10 @@ class InferenceInstance:
     # ------------------------------------------------------------------
     def step(self, now: float, dt: float) -> StepStats:
         """Advance the instance by ``dt`` seconds starting at ``now``."""
-        config = self.config
+        tp, frequency_mhz = self.tensor_parallelism, self.frequency.current_frequency_mhz
+        if (tp, frequency_mhz) != self._config_key:
+            self._resolve_configuration()
+        rate = self._latency_constants.prefill_rate
         available = dt
 
         # Downtime from reconfiguration.
@@ -352,38 +398,32 @@ class InferenceInstance:
         if available > 0:
             if self.waiting:
                 self._admit(now)
-            if self.running:
-                prefill_tokens, cursor = self._run_prefill(config, available, cursor, tokens_by_type)
-                decode_time = max(0.0, available - (prefill_tokens / max(1.0, self.latency.prefill_rate(config))))
-                decode_tokens = self._run_decode(config, decode_time, now, dt, tokens_by_type)
-                self._finish_completed(now, dt)
+            if self._prefilling:
+                prefill_tokens = self._run_prefill(available, cursor, tokens_by_type)
+            if self._finish_heap:
+                decode_time = max(0.0, available - (prefill_tokens / max(1.0, rate)))
+                if decode_time > 0:
+                    decode_tokens = self._run_decode(decode_time, now + dt, tokens_by_type)
 
         # Power/energy accounting.  Idle steps (no tokens processed)
-        # evaluate to activity == 0.0 exactly, so the pure power-model
-        # call is memoised per configuration.
+        # evaluate to activity == 0.0 exactly: their power is resolved
+        # once per configuration.
         if prefill_tokens == 0 and decode_tokens == 0:
-            key = (config.tp, config.frequency_mhz)
-            cached_power = self._idle_power_cache.get(key)
-            if cached_power is None:
-                cached_power = self.power_model.instance_power(
-                    config.tp, config.frequency_mhz, 0.0
-                )
-                self._idle_power_cache[key] = cached_power
-            power = cached_power
+            power = self._idle_power
         else:
-            busy_prefill = (
-                prefill_tokens / self.latency.prefill_rate(config) / dt if dt > 0 else 0.0
-            )
-            batch = max(1, len(self.running)) if decode_tokens > 0 else len(self.running)
+            busy_prefill = prefill_tokens / rate / dt if dt > 0 else 0.0
+            batch = max(1, len(self._batch)) if decode_tokens > 0 else len(self._batch)
             decode_power_factor = 0.35 + 0.55 * min(1.0, batch / 64.0)
             decode_busy = 0.0
             if decode_tokens > 0 and dt > 0:
-                iteration = self.latency.iteration_time(config, batch, self._average_context())
+                iteration = self._iteration_time(batch, self._average_context())
                 decode_busy = min(1.0, decode_tokens / max(1, batch) * iteration / dt)
             activity = min(1.0, busy_prefill + decode_busy * decode_power_factor)
-            power = self.power_model.instance_power(
-                config.tp, config.frequency_mhz, activity
-            )
+            # PowerModel.instance_power on the resolved dynamic scale.
+            if not 0.0 <= activity <= 1.0 + 1e-9:
+                raise ValueError(f"activity must be in [0, 1], got {activity}")
+            gpu_power = self._idle_watts + self._dynamic_range * activity * self._dynamic_scale
+            power = tp * gpu_power + self._host_share
         energy_wh = power * dt / 3600.0
         self.total_energy_wh += energy_wh
 
@@ -406,9 +446,9 @@ class InferenceInstance:
             energy_wh=energy_wh,
             prefill_tokens=prefill_tokens,
             decode_tokens=decode_tokens,
-            batch_size=len(self.running),
+            batch_size=len(self._batch),
             queue_length=len(self.waiting),
-            frequency_mhz=config.frequency_mhz,
+            frequency_mhz=frequency_mhz,
             energy_by_type_wh=energy_by_type,
         )
         if self.record_history:
@@ -419,7 +459,7 @@ class InferenceInstance:
     # Step internals
     # ------------------------------------------------------------------
     def _admit(self, now: float) -> None:
-        capacity = self.kv_capacity
+        capacity = self._kv_capacity
         # Reserve KV space for admitted requests up front (their prompts will
         # occupy the cache as soon as they are prefetched), so admission does
         # not overshoot the cache just because prefill has not run yet.
@@ -432,12 +472,14 @@ class InferenceInstance:
         # adopted mid-flight states can carry generated tokens, so the
         # two can legitimately differ within this loop.
         reserved = self._reserved_tokens
-        while self.waiting and len(self.running) < MAX_BATCH:
-            candidate = self.waiting[0]
+        batch = self._batch
+        waiting = self.waiting
+        while waiting and len(batch) < MAX_BATCH:
+            candidate = waiting[0]
             projected = reserved + candidate.request.input_tokens
-            if projected > capacity and self.running:
+            if projected > capacity and batch:
                 break
-            state = self.waiting.popleft()
+            state = waiting.popleft()
             self._note_removed(state)
             state.admitted_time = now
             reserved = projected
@@ -449,108 +491,106 @@ class InferenceInstance:
                 - state.remaining_prefill
                 + state.generated_tokens
             )
-            self.running.append(state)
+            seq = next(self._admission_seqs)
+            batch[seq] = state
+            if state.remaining_prefill > 0:
+                self._prefilling.append((seq, state))
+            else:
+                # An adopted state already past prefill resumes decoding.
+                self._start_decode(seq, state)
+
+    def _start_decode(self, seq: int, state: RequestState) -> None:
+        finish_tick = (
+            self._decode_tick - state.generated_tokens + state.request.output_tokens
+        )
+        state.finish_tick = finish_tick
+        heapq.heappush(self._finish_heap, (finish_tick, seq, state))
+        by_type = self._decoders_by_type
+        by_type[state.type_name] = by_type.get(state.type_name, 0) + 1
 
     def _run_prefill(
-        self,
-        config: InstanceConfig,
-        available: float,
-        cursor: float,
-        tokens_by_type: Dict[str, int],
-    ) -> Tuple[int, float]:
-        rate = self.latency.prefill_rate(config)
-        # ``prefill_done`` / ``done`` are inlined in the step loops below:
-        # these run once per state per step and property dispatch is the
-        # dominant cost at large batch sizes.
-        pending = [state for state in self.running if state.remaining_prefill > 0]
-        if not pending:
-            return 0, cursor
-        decoding = any(state.remaining_prefill <= 0 for state in self.running)
+        self, available: float, cursor: float, tokens_by_type: Dict[str, int]
+    ) -> int:
+        rate = self._latency_constants.prefill_rate
         # Cap prefill at 60% of the step when decodes are in flight so that
         # decode progress (TBT) is not starved by long prompts.
-        budget_s = available * (0.6 if decoding else 1.0)
+        budget_s = available * (0.6 if self._finish_heap else 1.0)
         budget_tokens = int(budget_s * rate)
         processed = 0
-        for state in pending:
-            if budget_tokens <= 0:
-                break
+        prefilling = self._prefilling
+        while prefilling and budget_tokens > 0:
+            seq, state = prefilling[0]
             chunk = min(state.remaining_prefill, budget_tokens)
             state.remaining_prefill -= chunk
             budget_tokens -= chunk
             processed += chunk
             cursor += chunk / rate
-            if state.remaining_prefill <= 0 and state.first_token_time is None:
+            type_name = state.type_name
+            tokens_by_type[type_name] = tokens_by_type.get(type_name, 0) + chunk
+            if state.remaining_prefill > 0:
+                break  # the budget ran out inside this prompt
+            prefilling.popleft()
+            if state.first_token_time is None:
                 # A request can never see its first token earlier than its
                 # arrival plus the isolated prefill latency (requests routed
                 # mid-step would otherwise appear to finish before arriving).
-                isolated = self.latency.prefill_time(config, state.request.input_tokens)
+                isolated = self.latency.prefill_time(
+                    self._config, state.request.input_tokens
+                )
                 state.first_token_time = max(
                     cursor, state.request.arrival_time + isolated
                 )
-            type_name = state.type_name
-            tokens_by_type[type_name] = tokens_by_type.get(type_name, 0) + chunk
+            self._start_decode(seq, state)
         self._kv_tokens += processed
-        return processed, cursor
+        return processed
 
     def _run_decode(
-        self,
-        config: InstanceConfig,
-        decode_time: float,
-        now: float,
-        dt: float,
-        tokens_by_type: Dict[str, int],
+        self, decode_time: float, end: float, tokens_by_type: Dict[str, int]
     ) -> int:
-        self._finished_pending = []
-        decoders = [
-            state
-            for state in self.running
-            if state.remaining_prefill <= 0
-            and state.generated_tokens < state.request.output_tokens
-        ]
-        if not decoders or decode_time <= 0:
-            return 0
-        batch = len(decoders)
-        iteration = self.latency.iteration_time(config, batch, self._average_context())
+        heap = self._finish_heap
+        decoders = len(heap)
+        iteration = self._iteration_time(decoders, self._average_context())
         iterations = decode_time / iteration + self._decode_carry
         whole_iterations = int(iterations)
         self._decode_carry = iterations - whole_iterations
         if whole_iterations <= 0:
             return 0
-        produced = 0
-        finished = self._finished_pending
-        for state in decoders:
-            remaining = state.request.output_tokens - state.generated_tokens
-            tokens = min(remaining, whole_iterations)
-            if tokens <= 0:
-                continue
-            state.generated_tokens += tokens
-            produced += tokens
-            if tokens == remaining:
-                # A request only ever completes through decode (outputs
-                # are >= 1 token), so collecting finishers here lets
-                # _finish_completed skip the batch rebuild entirely on
-                # steps where nothing completed.
-                finished.append(state)
-            type_name = state.type_name
-            tokens_by_type[type_name] = tokens_by_type.get(type_name, 0) + tokens
+        tick = self._decode_tick + whole_iterations
+        self._decode_tick = tick
+        # Every decoder gets ``whole_iterations`` tokens, less the
+        # iterations past its last token for those finishing now.
+        for type_name, count in self._decoders_by_type.items():
+            tokens_by_type[type_name] = (
+                tokens_by_type.get(type_name, 0) + whole_iterations * count
+            )
+        produced = whole_iterations * decoders
+        finished: List[int] = []
+        while heap and heap[0][0] <= tick:
+            finish_tick, seq, state = heapq.heappop(heap)
+            overshoot = tick - finish_tick
+            produced -= overshoot
+            tokens_by_type[state.type_name] -= overshoot
+            finished.append(seq)
         self._kv_tokens += produced
         self._reserved_tokens += produced
+        if finished:
+            # Outcomes leave in admission order, as the batch is ordered.
+            finished.sort()
+            self._finish_completed(finished, end)
         return produced
 
-    def _finish_completed(self, now: float, dt: float) -> None:
-        # Completion only happens through _run_decode (every request has
-        # >= 1 output token), which records finishers in order; steps
-        # where nothing completed skip the O(batch) rebuild.
-        finished = self._finished_pending
-        if not finished:
-            return
-        self._finished_pending = []
-        done_ids = {id(state) for state in finished}
-        self.running = [s for s in self.running if id(s) not in done_ids]
+    def _finish_completed(self, finished: List[int], end: float) -> None:
         released = 0
-        for state in finished:
-            released += state.request.input_tokens + state.generated_tokens
-            first_token = state.first_token_time if state.first_token_time is not None else now + dt
+        by_type = self._decoders_by_type
+        for seq in finished:
+            state = self._batch.pop(seq)
+            released += state.request.input_tokens + state.request.output_tokens
+            remaining = by_type[state.type_name] - 1
+            if remaining:
+                by_type[state.type_name] = remaining
+            else:
+                del by_type[state.type_name]
+            first_token = state.first_token_time if state.first_token_time is not None else end
             self.completed.append(
                 RequestOutcome(
                     request=state.request,
@@ -558,16 +598,32 @@ class InferenceInstance:
                     instance_id=self.instance_id,
                     start_time=state.enqueue_time,
                     first_token_time=first_token,
-                    completion_time=now + dt,
+                    completion_time=end,
                 )
             )
         self._kv_tokens -= released
         self._reserved_tokens -= released
 
+    def _iteration_time(self, batch_size: int, context: float) -> float:
+        """``LatencyModel.iteration_time`` on the resolved constants.
+
+        The same operations in the same order, so bit-identical.
+        """
+        constants = self._latency_constants
+        batch = max(1.0, batch_size)
+        memory = constants.weight_read_time + batch * (
+            context
+            * self._kv_bytes_per_token
+            / self.tensor_parallelism
+            / constants.memory_bandwidth
+        )
+        compute = batch * constants.decode_compute_time_per_token
+        return max(memory, compute) + constants.iteration_comm_time + ITERATION_OVERHEAD_S
+
     def _average_context(self) -> float:
-        if not self.running:
+        if not self._batch:
             return 1.0
-        return max(1.0, self.kv_tokens_used / len(self.running))
+        return max(1.0, self._kv_tokens / len(self._batch))
 
     def _attribute_energy(
         self, energy_wh: float, tokens_by_type: Dict[str, int]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.cluster_manager import ClusterManager
 from repro.core.instance_manager import InstanceManager
@@ -80,11 +80,19 @@ class _LazyOverloadMap(Mapping[str, bool]):
         self._cache: Dict[str, bool] = {}
 
     def __getitem__(self, name: str) -> bool:
+        flag = self.get(name)
+        if flag is None:
+            raise KeyError(name)
+        return flag
+
+    def get(self, name: str, default: Any = None) -> Any:
+        # Direct, instead of the Mapping mixin's try/except around
+        # __getitem__: routing calls this once or twice per request.
         cached = self._cache.get(name)
         if cached is None:
             manager = self._managers.get(name)
             if manager is None:
-                raise KeyError(name)
+                return default
             cached = manager.is_overloaded(self._now)
             self._cache[name] = cached
         return cached

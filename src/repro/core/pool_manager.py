@@ -82,16 +82,17 @@ class PoolManager:
 
     def _profile_entry(self, tp: int, frequency_mhz: int) -> Optional[ProfileEntry]:
         key = (tp, frequency_mhz)
-        cache = self._entry_cache
-        if key in cache:
-            return cache[key]
+        try:
+            return self._entry_cache[key]
+        except KeyError:
+            pass
         try:
             entry: Optional[ProfileEntry] = self.profile.entry(
                 self.pool.governing_type, tp, frequency_mhz
             )
         except KeyError:
             entry = None
-        cache[key] = entry
+        self._entry_cache[key] = entry
         return entry
 
     def _instance_capacity(self, instance: InstanceLike) -> float:
@@ -318,8 +319,8 @@ class PoolManager:
 
         # Step 3: drain and remove leftover instances.
         for instance in reusable:
-            self._remove_instance(instance, now)
-            removed += 1
+            if self._remove_instance(instance, now):
+                removed += 1
 
         # Step 4: align frequencies with the plan (the instance manager will
         # fine-tune them at its own epoch).
@@ -339,12 +340,28 @@ class PoolManager:
         )
         return instance
 
-    def _remove_instance(self, instance: InstanceLike, now: float) -> None:
+    def _remove_instance(self, instance: InstanceLike, now: float) -> bool:
+        """Remove an instance, handing its queued and running requests on.
+
+        They go where routing would send the first of them; when no live
+        instance of the pool accepts work, to the least-loaded other
+        instance even if it is offline, since its queue waits for it.  A
+        pool's last instance is kept (returns False) so no request is lost.
+        """
+        others = [
+            other
+            for other in self.cluster.instances_in_pool(self.pool.name)
+            if other.instance_id != instance.instance_id
+        ]
+        if not others:
+            return False
         leftovers = self.cluster.remove_instance(instance.instance_id)
         if leftovers:
             target = self.select_instance(leftovers[0].request, now)
-            if target is not None:
-                target.adopt(leftovers, now)
+            if target is None:
+                target = min(others, key=lambda i: (i.load_estimate_tps, i.queue_length))
+            target.adopt(leftovers, now)
+        return True
 
     def _reshard_instance(self, instance: InstanceLike, new_tp: int, now: float) -> bool:
         transfer = self.overheads.reshard_transfer_time_s(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -45,15 +45,11 @@ class RequestType:
     input_class: LengthClass
     output_class: LengthClass
 
-    @property
+    @cached_property
     def name(self) -> str:
-        # Request classification sits on the per-token simulation hot
-        # path; the f-string (and the enum ``.value`` descriptor walks it
-        # implies) shows up in profiles, so canonical pairs resolve
-        # through a precomputed table instead.
-        cached = _NAME_TABLE.get((self.input_class, self.output_class))
-        if cached is not None:
-            return cached
+        # Formatted once per object: classification on the default
+        # thresholds returns shared canonical instances, so routing and
+        # the instance step read a stored string.
         return f"{self.input_class.value}{self.output_class.value}"
 
     def __str__(self) -> str:  # pragma: no cover - trivial
@@ -83,11 +79,6 @@ _CLASS_ORDER = (LengthClass.SHORT, LengthClass.MEDIUM, LengthClass.LONG)
 REQUEST_TYPES: Tuple[RequestType, ...] = tuple(
     RequestType(i, o) for i in _CLASS_ORDER for o in _CLASS_ORDER
 )
-
-#: Precomputed names for the canonical class pairs (hot-path lookup).
-_NAME_TABLE: Dict[Tuple[LengthClass, LengthClass], str] = {
-    (i, o): f"{i.value}{o.value}" for i in _CLASS_ORDER for o in _CLASS_ORDER
-}
 
 REQUEST_TYPE_NAMES: Tuple[str, ...] = tuple(t.name for t in REQUEST_TYPES)
 
@@ -258,9 +249,24 @@ class ClassificationScheme:
     def pool_names(self) -> List[str]:
         return [self.pool_name(group) for group in self.groups]
 
+    # Routing looks both tables up per request; each is built on first
+    # use and cached on the (frozen) scheme.
+    @cached_property
+    def _pool_by_type(self) -> Dict[str, str]:
+        return {name: self.pool_name(group) for group in self.groups for name in group}
+
+    @cached_property
+    def _spill_targets(self) -> Dict[str, str]:
+        return {name: self._spill_target(name) for name in self.pool_names()}
+
     def pool_of(self, request_type: RequestType) -> str:
         """Name of the pool that serves the given base bucket."""
-        return _pool_of(self, request_type.name)
+        try:
+            return self._pool_by_type[request_type.name]
+        except KeyError:
+            raise KeyError(
+                f"request type {request_type.name} not covered by scheme {self.name}"
+            ) from None
 
     def members(self, pool_name: str) -> Tuple[str, ...]:
         for group in self.groups:
@@ -289,9 +295,12 @@ class ClassificationScheme:
         onto itself — it is the only pool allowed to be over-provisioned
         (Section IV-B).
         """
-        return _next_larger_pool(self, pool_name)
+        try:
+            return self._spill_targets[pool_name]
+        except KeyError:
+            raise KeyError(f"unknown pool {pool_name!r} in scheme {self.name}") from None
 
-    def _next_larger_pool_uncached(self, pool_name: str) -> str:
+    def _spill_target(self, pool_name: str) -> str:
         governing = self.heaviest_member(pool_name)
         order = list(_CLASS_ORDER)
         input_index = order.index(governing.input_class)
@@ -307,21 +316,6 @@ class ClassificationScheme:
             if target != pool_name:
                 return target
         return pool_name
-
-
-@lru_cache(maxsize=None)
-def _pool_of(scheme: ClassificationScheme, type_name: str) -> str:
-    """Cached pool lookup — schemes are frozen, so the mapping is stable."""
-    for group in scheme.groups:
-        if type_name in group:
-            return scheme.pool_name(group)
-    raise KeyError(f"request type {type_name} not covered by scheme {scheme.name}")
-
-
-@lru_cache(maxsize=None)
-def _next_larger_pool(scheme: ClassificationScheme, pool_name: str) -> str:
-    """Cached spill-target lookup (pure function of the frozen scheme)."""
-    return scheme._next_larger_pool_uncached(pool_name)
 
 
 def _scheme_from_groups(name: str, groups: Sequence[Sequence[str]]) -> ClassificationScheme:

@@ -802,6 +802,18 @@ class TestGoldenReports:
 
         _assert_matches_golden(run_experiment(experiment).to_dict(), name)
 
+    def test_fig11_records_match_golden_exactly(self, tmp_path):
+        """Re-simulated event records equal the frozen ones, every field."""
+        out = str(tmp_path / "fig11.jsonl")
+        CampaignRunner(load_manifest(manifest_path("fig11_accuracy")), out=out).run()
+
+        def by_scenario(path):
+            return {record["scenario"]: record for record in read_jsonl(path)}
+
+        golden = by_scenario(os.path.join(GOLDEN_DIR, "fig11_accuracy.results.jsonl"))
+        assert len(golden) == 6
+        assert by_scenario(out) == golden
+
     def test_golden_results_do_not_satisfy_other_manifests(self):
         # The fig15 results file describes a different grid than fig16:
         # pointing a campaign at the wrong golden file is a mismatch.

@@ -1,10 +1,12 @@
 """Tests for the cluster simulator: frequency, VM, instance, server, cluster."""
 
+import random
+
 import pytest
 
 from repro.cluster.cluster import GPUCluster
 from repro.cluster.frequency import FrequencyController
-from repro.cluster.instance import InferenceInstance
+from repro.cluster.instance import InferenceInstance, RequestState, StepStats
 from repro.cluster.server import Server
 from repro.cluster.vm import VMProvisioner
 from repro.core.hw import (
@@ -14,7 +16,8 @@ from repro.core.hw import (
     warm_boot_time_s,
 )
 from repro.llm.catalog import LLAMA2_70B
-from repro.workload.request import Request
+from repro.perf.latency_model import MAX_BATCH
+from repro.workload.request import Request, RequestOutcome
 
 
 def make_request(arrival=0.0, n_in=600, n_out=50):
@@ -270,6 +273,290 @@ class TestInferenceInstance:
             instance.step(float(step), 1.0)
         assert set(instance.energy_by_type_wh) >= {"MS", "SS"} or set(instance.energy_by_type_wh) >= {"MM"}
         assert sum(instance.energy_by_type_wh.values()) == pytest.approx(instance.total_energy_wh, rel=0.01)
+
+
+class PerStateInstance(InferenceInstance):
+    """Reference for the closed-form decode: the per-state step loops.
+
+    The running batch is a plain admission-ordered list that every step
+    rescans: prefill walks the pending states, decode hands each decoder
+    ``min(remaining, whole_iterations)`` tokens, and the batch is rebuilt
+    without the finishers.  Constants come from the latency and power
+    models on every call.  Intake and reconfiguration are inherited.
+    """
+
+    running = None  # a plain list per instance, not the base class's view
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.running = []
+
+    def step(self, now, dt):
+        config = self.config
+        available = dt
+        if now < self.offline_until:
+            available -= min(self.offline_until, now + dt) - now
+        if available > 0 and now < self.degraded_until:
+            degraded_overlap = min(self.degraded_until, now + dt) - max(now, self.offline_until)
+            if degraded_overlap > 0:
+                available -= degraded_overlap * (1.0 - self.degraded_factor)
+        available = self.frequency.consume_penalty(max(0.0, available))
+
+        prefill_tokens = 0
+        decode_tokens = 0
+        tokens_by_type = {}
+        cursor = now + (dt - available)
+        finished = []
+        if available > 0:
+            if self.waiting:
+                self._reference_admit(now)
+            if self.running:
+                prefill_tokens = self._reference_prefill(config, available, cursor, tokens_by_type)
+                decode_time = max(
+                    0.0, available - (prefill_tokens / max(1.0, self.latency.prefill_rate(config)))
+                )
+                decode_tokens = self._reference_decode(config, decode_time, tokens_by_type, finished)
+                self._reference_finish(finished, now + dt)
+
+        if prefill_tokens == 0 and decode_tokens == 0:
+            power = self.power_model.instance_power(config.tp, config.frequency_mhz, 0.0)
+        else:
+            busy_prefill = prefill_tokens / self.latency.prefill_rate(config) / dt if dt > 0 else 0.0
+            batch = max(1, len(self.running)) if decode_tokens > 0 else len(self.running)
+            decode_power_factor = 0.35 + 0.55 * min(1.0, batch / 64.0)
+            decode_busy = 0.0
+            if decode_tokens > 0 and dt > 0:
+                iteration = self.latency.iteration_time(config, batch, self._reference_context())
+                decode_busy = min(1.0, decode_tokens / max(1, batch) * iteration / dt)
+            activity = min(1.0, busy_prefill + decode_busy * decode_power_factor)
+            power = self.power_model.instance_power(config.tp, config.frequency_mhz, activity)
+        energy_wh = power * dt / 3600.0
+        self.total_energy_wh += energy_wh
+        energy_by_type = self._attribute_energy(energy_wh, tokens_by_type)
+        for type_name, value in energy_by_type.items():
+            self.energy_by_type_wh[type_name] = self.energy_by_type_wh.get(type_name, 0.0) + value
+        instant_tps = self._arrived_tokens_step / dt if dt > 0 else 0.0
+        alpha = min(1.0, dt / 30.0)
+        self._load_ema_tps = (1 - alpha) * self._load_ema_tps + alpha * instant_tps
+        self._arrived_tokens_step = 0
+        return StepStats(
+            time=now,
+            duration=dt,
+            power_watts=power,
+            energy_wh=energy_wh,
+            prefill_tokens=prefill_tokens,
+            decode_tokens=decode_tokens,
+            batch_size=len(self.running),
+            queue_length=len(self.waiting),
+            frequency_mhz=config.frequency_mhz,
+            energy_by_type_wh=energy_by_type,
+        )
+
+    def _reference_admit(self, now):
+        capacity = self.latency.kv_capacity_tokens(self.config)
+        reserved = self._reserved_tokens
+        while self.waiting and len(self.running) < MAX_BATCH:
+            projected = reserved + self.waiting[0].request.input_tokens
+            if projected > capacity and self.running:
+                break
+            state = self.waiting.popleft()
+            self._note_removed(state)
+            state.admitted_time = now
+            reserved = projected
+            self._reserved_tokens += state.request.input_tokens + state.generated_tokens
+            self._kv_tokens += (
+                state.request.input_tokens - state.remaining_prefill + state.generated_tokens
+            )
+            self.running.append(state)
+
+    def _reference_prefill(self, config, available, cursor, tokens_by_type):
+        rate = self.latency.prefill_rate(config)
+        pending = [state for state in self.running if state.remaining_prefill > 0]
+        if not pending:
+            return 0
+        decoding = any(state.remaining_prefill <= 0 for state in self.running)
+        budget_tokens = int(available * (0.6 if decoding else 1.0) * rate)
+        processed = 0
+        for state in pending:
+            if budget_tokens <= 0:
+                break
+            chunk = min(state.remaining_prefill, budget_tokens)
+            state.remaining_prefill -= chunk
+            budget_tokens -= chunk
+            processed += chunk
+            cursor += chunk / rate
+            if state.remaining_prefill <= 0 and state.first_token_time is None:
+                isolated = self.latency.prefill_time(config, state.request.input_tokens)
+                state.first_token_time = max(cursor, state.request.arrival_time + isolated)
+            tokens_by_type[state.type_name] = tokens_by_type.get(state.type_name, 0) + chunk
+        self._kv_tokens += processed
+        return processed
+
+    def _reference_decode(self, config, decode_time, tokens_by_type, finished):
+        decoders = [
+            state
+            for state in self.running
+            if state.remaining_prefill <= 0
+            and state.generated_tokens < state.request.output_tokens
+        ]
+        if not decoders or decode_time <= 0:
+            return 0
+        iteration = self.latency.iteration_time(config, len(decoders), self._reference_context())
+        iterations = decode_time / iteration + self._decode_carry
+        whole_iterations = int(iterations)
+        self._decode_carry = iterations - whole_iterations
+        if whole_iterations <= 0:
+            return 0
+        produced = 0
+        for state in decoders:
+            remaining = state.request.output_tokens - state.generated_tokens
+            tokens = min(remaining, whole_iterations)
+            state.generated_tokens += tokens
+            produced += tokens
+            if tokens == remaining:
+                finished.append(state)
+            tokens_by_type[state.type_name] = tokens_by_type.get(state.type_name, 0) + tokens
+        self._kv_tokens += produced
+        self._reserved_tokens += produced
+        return produced
+
+    def _reference_finish(self, finished, end):
+        done = {id(state) for state in finished}
+        self.running = [state for state in self.running if id(state) not in done]
+        for state in finished:
+            released = state.request.input_tokens + state.generated_tokens
+            self._kv_tokens -= released
+            self._reserved_tokens -= released
+            self.completed.append(
+                RequestOutcome(
+                    request=state.request,
+                    pool=self.pool,
+                    instance_id=self.instance_id,
+                    start_time=state.enqueue_time,
+                    first_token_time=(
+                        state.first_token_time if state.first_token_time is not None else end
+                    ),
+                    completion_time=end,
+                )
+            )
+
+    def _reference_context(self):
+        if not self.running:
+            return 1.0
+        return max(1.0, self._kv_tokens / len(self.running))
+
+
+def _batch_view(instance):
+    return [
+        (state.request.request_id, state.generated_tokens, state.remaining_prefill)
+        for state in instance.running
+    ]
+
+
+class TestClosedFormDecode:
+    """``InferenceInstance`` in lockstep with :class:`PerStateInstance`.
+
+    Seeded random operation sequences drive both; after every step the
+    step stats, the drained outcomes, the KV counters and the running
+    batch must be equal, not merely close.
+    """
+
+    @staticmethod
+    def _in_flight(rng, request, now, decoding):
+        """Two equal states of ``request`` that have already made progress."""
+        remaining = 0 if decoding else rng.randrange(1, request.input_tokens + 1)
+        generated = rng.randrange(request.output_tokens) if decoding else 0
+        first_token = now - rng.uniform(0.0, 5.0) if decoding else None
+        enqueued = now - rng.uniform(0.0, 3.0)
+        states = []
+        for _ in range(2):
+            state = RequestState(request=request, enqueue_time=enqueued)
+            state.remaining_prefill = remaining
+            state.generated_tokens = generated
+            state.first_token_time = first_token
+            states.append(state)
+        return states
+
+    def _operate(self, rng, pair, stash, now):
+        """Apply one random intake or reconfiguration operation to both."""
+        op = rng.randrange(11)
+        if op <= 3:
+            request = Request(
+                arrival_time=max(0.0, now - rng.uniform(0.0, 2.0)),
+                input_tokens=rng.randrange(1, 4000),
+                output_tokens=rng.randrange(1, 600),
+            )
+            for instance in pair:
+                instance.enqueue(request, now)
+        elif op == 4:
+            request = Request(
+                arrival_time=max(0.0, now - 10.0),
+                input_tokens=rng.randrange(1, 4000),
+                output_tokens=rng.randrange(1, 600),
+            )
+            states = self._in_flight(rng, request, now, decoding=rng.random() < 0.6)
+            for instance, state in zip(pair, states):
+                instance.adopt([state], now)
+        elif op == 5:
+            count = rng.randrange(1, 4)
+            stolen = [instance.steal_waiting(count) for instance in pair]
+            assert [s.request for s in stolen[0]] == [s.request for s in stolen[1]]
+            stash[:] = [a + b for a, b in zip(stash, stolen)] if stash else stolen
+        elif op == 6 and stash:
+            for instance, states in zip(pair, stash):
+                instance.adopt(states, now)
+            stash[:] = []
+        elif op == 7:
+            for instance in pair:
+                instance.reorder_queue_by_deadline(lambda request: request.input_tokens / 1000.0)
+        elif op == 8:
+            threshold = rng.uniform(2.0, 20.0)
+            squashed = [instance.squash_stale(now, threshold) for instance in pair]
+            assert squashed[0] == squashed[1]
+        elif op == 9:
+            tp = rng.choice((2, 4, 8))
+            transfer, sync = rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0)
+            downtime = rng.random() < 0.5
+            for instance in pair:
+                instance.begin_resharding(tp, now, transfer, sync, downtime)
+        else:
+            frequency = rng.choice((800, 1200, 1600, 1980))
+            choice = rng.randrange(3)
+            until = now + rng.uniform(0.0, 2.0)
+            for instance in pair:
+                if choice == 0:
+                    instance.set_frequency(frequency, now)
+                elif choice == 1:
+                    instance.frequency.set_frequency(frequency, now)
+                else:
+                    instance.mark_offline(until)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_state_reference(self, seed):
+        rng = random.Random(seed)
+        tp = rng.choice((2, 4, 8))
+        pair = (
+            InferenceInstance(LLAMA2_70B, tensor_parallelism=tp, instance_id="lockstep"),
+            PerStateInstance(LLAMA2_70B, tensor_parallelism=tp, instance_id="lockstep"),
+        )
+        closed, reference = pair
+        stash = []
+        now = 0.0
+        finished = 0
+        for _ in range(250):
+            for _ in range(rng.randrange(5)):
+                self._operate(rng, pair, stash, now)
+            dt = rng.choice((1.0, 1.0, 0.5, 0.05, 2.0))
+            assert closed.step(now, dt) == reference.step(now, dt)
+            outcomes = closed.drain_completed()
+            assert outcomes == reference.drain_completed()
+            finished += len(outcomes)
+            assert closed.kv_tokens_used == reference.kv_tokens_used
+            assert closed._reserved_tokens == reference._reserved_tokens
+            assert _batch_view(closed) == _batch_view(reference)
+            now += dt
+        assert closed.energy_by_type_wh == reference.energy_by_type_wh
+        assert finished > 50
 
 
 class TestGPUCluster:

@@ -339,6 +339,29 @@ class TestPoolAndInstanceManagers:
         instance_manager.frequency_epoch(40.0)
         assert instance.frequency.current_frequency_mhz == 1980
 
+    def test_removed_instance_requests_are_not_dropped(self, profile):
+        cluster, controller = _make_stack(profile)
+        controller.setup(0.0, warm_loads={"MM": 6000.0})
+        manager = controller.pool_managers["MM"]
+        busy, idle = manager.instances()
+        for _ in range(5):
+            busy.enqueue(Request(arrival_time=0.0, input_tokens=600, output_tokens=200), now=0.0)
+        busy.step(0.0, 0.5)  # some requests are running, not just queued
+
+        def parked():
+            return sum(i.queue_length + i.batch_size for i in cluster.instances.values())
+
+        # No live instance accepts the leftovers: they wait on the
+        # offline one instead of vanishing.
+        idle.mark_offline(100.0)
+        assert parked() == 5
+        manager._remove_instance(busy, now=1.0)
+        assert busy.instance_id not in cluster.instances
+        assert parked() == 5 and idle.queue_length == 5
+        # The pool's last instance is kept rather than losing its queue.
+        assert not manager._remove_instance(idle, now=2.0)
+        assert idle.instance_id in cluster.instances and parked() == 5
+
     def test_is_overloaded_when_no_instances(self, profile):
         cluster, controller = _make_stack(profile)
         assert controller.pool_managers["SS"].is_overloaded(0.0)
